@@ -3,7 +3,7 @@
 // relative, improvement over OTM), average execution times (Transform,
 // Shrink, QET, improvements over NM and EP) and materialized view sizes.
 //
-// Paper reference points (shape, not absolute values — see EXPERIMENTS.md):
+// Paper reference points (shape, not absolute values — see README.md):
 //   * DP relative errors < 0.05, OTM relative error ~1, EP/NM exact;
 //   * QET: DP << EP << NM, with >= 7800x improvement of DP over NM;
 //   * view size: DP ~100-300x smaller than EP.

@@ -1,6 +1,9 @@
 #include "src/core/transform.h"
 
 #include <algorithm>
+#include <array>
+#include <span>
+#include <vector>
 
 #include "src/common/logging.h"
 #include "src/oblivious/cache_ops.h"
@@ -49,8 +52,9 @@ Status TransformProtocol::ChargeBatch(const SharedRows& batch,
   // whether it contributes to generating a real view entry), it is consumed
   // with a fixed amount of budget (equal to the truncation limit omega)."
   proto_->AccountAndGates(batch.size() * 2 * kWordBits);  // budget check+dec
+  std::vector<Word> buf(batch.width());
   for (size_t r = 0; r < batch.size(); ++r) {
-    const std::vector<Word> row = batch.RecoverRow(r);
+    const std::span<const Word> row = batch.RecoverRowInto(r, buf);
     // oblivious-ok: ideal-functionality budget charge — the check+decrement
     // circuit is charged for every row above; the ledger models in-circuit
     // per-record budget state and is only released through the DP path
@@ -97,12 +101,13 @@ Result<TransformProtocol::StepResult> TransformProtocol::StepFilterImpl(
   Rng* rng = proto_->internal_rng();
   SharedRows out(kViewWidth);
   uint32_t real_entries = 0;
+  std::vector<Word> buf(batch.width());
+  std::array<Word, kViewWidth> view{};
   for (size_t r = 0; r < batch.size(); ++r) {
-    const std::vector<Word> row = batch.RecoverRow(r);
+    const std::span<const Word> row = batch.RecoverRowInto(r, buf);
     const bool keep = (row[kSrcValidCol] & 1) &&
                       row[kSrcPayloadCol] >= config_.filter.lo &&
                       row[kSrcPayloadCol] <= config_.filter.hi;
-    std::vector<Word> view(kViewWidth);
     // oblivious-ok: ideal-functionality select — per-row predicate + rewiring
     // mux cost charged above the loop; one fresh-shared view row is appended
     // per input row whether it matches or not
@@ -224,16 +229,19 @@ Result<TransformProtocol::StepResult> TransformProtocol::StepJoin(
     auto with_budget = [&](const SharedRows& src,
                            bool capped) -> SharedRows {
       SharedRows out(kSrcWidth + 1);
+      // The source row, then its remaining budget in the extra column.
+      std::vector<Word> buf(src.width() + 1);
+      const std::span<Word> src_cols(buf.data(), src.width());
       for (size_t r = 0; r < src.size(); ++r) {
-        std::vector<Word> row = src.RecoverRow(r);
+        const std::span<const Word> row = src.RecoverRowInto(r, src_cols);
         const Word rid = row[kSrcRidCol];
         const uint32_t used =
             usage.count(rid) != 0 ? usage.at(rid) : 0;
         const Word remaining =
             capped ? (used >= spec.omega ? 0 : spec.omega - used)
                    : 0x7FFFFFFFu;
-        row.push_back(remaining);
-        out.AppendSecretRow(row, proto_->internal_rng());
+        buf.back() = remaining;
+        out.AppendSecretRow(buf, proto_->internal_rng());
       }
       return out;
     };
@@ -243,8 +251,9 @@ Result<TransformProtocol::StepResult> TransformProtocol::StepJoin(
       // the in-circuit budget columns the nested-loop join maintained into
       // the (secret-state) usage map; the join already charged the full
       // per-pair decrement circuit, and nothing here is released
+      std::vector<Word> buf(table.width());
       for (size_t r = 0; r < table.size(); ++r) {
-        const std::vector<Word> row = table.RecoverRow(r);
+        const std::span<const Word> row = table.RecoverRowInto(r, buf);
         if (!(row[kSrcValidCol] & 1)) continue;
         const uint32_t remaining = row[kSrcWidth];
         const uint32_t initial =

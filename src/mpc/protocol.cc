@@ -207,10 +207,11 @@ void Protocol2PC::CompareExchangeRowsBatch(SharedRows* rows,
   const size_t mask_words = CompareExchangeMaskWords(w);
   AccountCompareExchangeBatch(count, w, /*lex=*/false);
   if (exec.Serial(count)) {
-    // Serial fast path: masks drawn inline per site (the exact scalar
-    // sequence), register-resident — no layer-sized buffer round-trip.
+    // Serial fast path: masks drawn inline per site from the submission's
+    // local stream (the exact scalar sequence) — no layer-sized buffer.
+    SerialSites sites(this, rows);
     for (size_t p = 0; p < count; ++p) {
-      CompareExchangeSite(rows, pairs[p].a, pairs[p].b, key_col, ascending);
+      sites.CompareExchange(pairs[p].a, pairs[p].b, key_col, ascending);
     }
     return;
   }
@@ -240,9 +241,10 @@ void Protocol2PC::CompareExchangeRowsLexBatch(SharedRows* rows,
   const size_t mask_words = CompareExchangeMaskWords(w);
   AccountCompareExchangeBatch(count, w, /*lex=*/true);
   if (exec.Serial(count)) {
+    SerialSites sites(this, rows);
     for (size_t p = 0; p < count; ++p) {
-      CompareExchangeLexSite(rows, pairs[p].a, pairs[p].b, major_col,
-                             minor_col, ascending);
+      sites.CompareExchangeLex(pairs[p].a, pairs[p].b, major_col, minor_col,
+                               ascending);
     }
     return;
   }
@@ -267,36 +269,6 @@ void Protocol2PC::AccountMuxSwapBatch(uint64_t ops, size_t width) {
     batch_trace_.push_back({BatchTraceEvent::Kind::kMuxSwap, ops,
                             CircuitStats{gates, 0, 0, 0}});
   }
-}
-
-void Protocol2PC::MuxRowsBatch(SharedRows* rows, const RowPair* pairs,
-                               const WordShares* swap_bits, size_t count,
-                               const BatchExec& exec) {
-  if (count == 0) return;
-  const size_t w = rows->width();
-  const size_t mask_words = MuxSwapMaskWords(w);
-  AccountMuxSwapBatch(count, w);
-  if (exec.Serial(count)) {
-    for (size_t p = 0; p < count; ++p) {
-      const Word bit = RecoverInside(swap_bits[p]) & 1;
-      MuxSwapSite(rows, pairs[p].a, pairs[p].b, bit != 0);
-    }
-    return;
-  }
-  batch_masks_.resize(count * mask_words);
-  DrawReshareMasks(batch_masks_.size(), batch_masks_.data());
-  const Word* masks = batch_masks_.data();
-  const auto site = [&](size_t p) {
-    const Word bit = RecoverInside(swap_bits[p]) & 1;
-    ApplyMuxSwap(rows, pairs[p].a, pairs[p].b, bit != 0,
-                 masks + p * mask_words);
-  };
-  const size_t chunk = BatchChunkSize(count, exec.pool->num_threads());
-  const size_t num_chunks = (count + chunk - 1) / chunk;
-  exec.pool->ParallelFor(num_chunks, [&](size_t c) {
-    const size_t end = std::min(count, (c + 1) * chunk);
-    for (size_t p = c * chunk; p < end; ++p) site(p);
-  });
 }
 
 void Protocol2PC::CountWhereBatch(const CountWhereTask* tasks, size_t count,

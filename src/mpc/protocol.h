@@ -218,12 +218,13 @@ class Protocol2PC {
   // Batched oblivious primitives (layer-vectorized execution)
   //
   // Each batch call is bit-identical to issuing its scalar ops in pair
-  // order: the resharing masks are pre-drawn from the internal stream in
-  // exactly the scalar call order, the per-site kernels are pure functions
-  // of (shares, masks), and the aggregate circuit cost is charged once per
-  // batch — totals equal to the scalar sum. Because the sites of a batch
-  // touch pairwise-disjoint rows, the apply phase may be split across a
-  // ThreadPool (BatchExec) without changing a single committed bit.
+  // order: the resharing masks are drawn from the internal stream in
+  // exactly the scalar call order (inline by SerialSites, or pre-drawn for
+  // the pooled kernels, which are pure functions of (shares, masks)), and
+  // the aggregate circuit cost is charged once per batch — totals equal to
+  // the scalar sum. Because the sites of a batch touch pairwise-disjoint
+  // rows, the pooled apply phase may be split across a ThreadPool
+  // (BatchExec) without changing a single committed bit.
   // ------------------------------------------------------------------
 
   /// Words of resharing randomness one mux-swap site consumes.
@@ -235,8 +236,10 @@ class Protocol2PC {
 
   /// Draws `count` words from the internal resharing stream — the exact
   /// sequence the scalar ops would have consumed one Reshare at a time.
-  /// This is the *only* entry point batched kernels may take randomness
-  /// from (tools/check_no_hidden_entropy.sh enforces the scheduler side).
+  /// Pooled batches take their randomness only from here, serial
+  /// submissions only through SerialSites (below), which draws the same
+  /// sequence from a local copy of the stream; every draw stays in this
+  /// header (tools/check_no_hidden_entropy.sh enforces the scheduler side).
   /// Inline (with the kernels below): these are the innermost hot loops of
   /// every oblivious sort, and an out-of-line call per word/site erases the
   /// batching win.
@@ -244,24 +247,26 @@ class Protocol2PC {
     for (size_t i = 0; i < count; ++i) out[i] = internal_rng_.Next32();
   }
 
-  /// Single-key out-of-order predicate shared by the scalar op, the
-  /// pre-draw kernel and the inline-draw site kernel: one source of truth
-  /// for the comparator the serial and pooled rounds must agree on.
-  static bool KeyOutOfOrder(const SharedRows& rows, size_t i, size_t j,
-                            size_t key_col, bool ascending) {
-    const Word ki = rows.share0_at(i, key_col) ^ rows.share1_at(i, key_col);
-    const Word kj = rows.share0_at(j, key_col) ^ rows.share1_at(j, key_col);
+  /// Single-key out-of-order predicate over raw share arrays of row width
+  /// `w`, shared by the pre-draw kernels and the serial stream kernels: one
+  /// source of truth for the comparator the serial and pooled rounds must
+  /// agree on.
+  static bool KeyOutOfOrder(const Word* s0, const Word* s1, size_t w,
+                            size_t i, size_t j, size_t key_col,
+                            bool ascending) {
+    const Word ki = s0[i * w + key_col] ^ s1[i * w + key_col];
+    const Word kj = s0[j * w + key_col] ^ s1[j * w + key_col];
     return ascending ? (kj < ki) : (ki < kj);
   }
 
   /// Lexicographic (major, minor) out-of-order predicate — ditto.
-  static bool LexOutOfOrder(const SharedRows& rows, size_t i, size_t j,
-                            size_t major_col, size_t minor_col,
-                            bool ascending) {
-    const Word mi = rows.share0_at(i, major_col) ^ rows.share1_at(i, major_col);
-    const Word mj = rows.share0_at(j, major_col) ^ rows.share1_at(j, major_col);
-    const Word ni = rows.share0_at(i, minor_col) ^ rows.share1_at(i, minor_col);
-    const Word nj = rows.share0_at(j, minor_col) ^ rows.share1_at(j, minor_col);
+  static bool LexOutOfOrder(const Word* s0, const Word* s1, size_t w,
+                            size_t i, size_t j, size_t major_col,
+                            size_t minor_col, bool ascending) {
+    const Word mi = s0[i * w + major_col] ^ s1[i * w + major_col];
+    const Word mj = s0[j * w + major_col] ^ s1[j * w + major_col];
+    const Word ni = s0[i * w + minor_col] ^ s1[i * w + minor_col];
+    const Word nj = s0[j * w + minor_col] ^ s1[j * w + minor_col];
     const bool i_greater = mi > mj || (mi == mj && ni > nj);
     const bool j_greater = mj > mi || (mj == mi && nj > ni);
     return ascending ? i_greater : j_greater;
@@ -272,8 +277,8 @@ class Protocol2PC {
   /// of the same batch on disjoint rows.
   void ApplyMuxSwap(SharedRows* rows, size_t i, size_t j, bool do_swap,
                     const Word* masks) const {
-    MuxSwapImpl(rows, i, j, do_swap,
-                [&masks]() { return *masks++; });
+    MuxSwapImpl(rows->mutable_share0(), rows->mutable_share1(), rows->width(),
+                i, j, do_swap, [&masks]() { return *masks++; });
   }
 
   /// Pure compare-exchange kernel over CompareExchangeMaskWords(width)
@@ -281,7 +286,9 @@ class Protocol2PC {
   void ApplyCompareExchange(SharedRows* rows, size_t i, size_t j,
                             size_t key_col, bool ascending,
                             const Word* masks) const {
-    const bool out_of_order = KeyOutOfOrder(*rows, i, j, key_col, ascending);
+    const bool out_of_order =
+        KeyOutOfOrder(rows->shares0().data(), rows->shares1().data(),
+                      rows->width(), i, j, key_col, ascending);
     // masks[0] is the swap-bit reshare the scalar path draws; the batch
     // draws it too (stream alignment) but, like the scalar path, never
     // stores it.
@@ -293,53 +300,79 @@ class Protocol2PC {
                                size_t major_col, size_t minor_col,
                                bool ascending, const Word* masks) const {
     const bool out_of_order =
-        LexOutOfOrder(*rows, i, j, major_col, minor_col, ascending);
+        LexOutOfOrder(rows->shares0().data(), rows->shares1().data(),
+                      rows->width(), i, j, major_col, minor_col, ascending);
     ApplyMuxSwap(rows, i, j, out_of_order, masks + 1);
   }
 
-  // Serial-batch site kernels: the exact scalar data path — resharing
-  // masks drawn inline from the internal stream in scalar word order, no
-  // scratch buffer — minus the per-op accounting, which the batch already
-  // charged in aggregate. These are what make the 1-thread batched path a
-  // strict win over the scalar ops (amortized bookkeeping, register-
-  // resident masks). Same word-for-word draw sequence as the pre-draw
-  // kernels above (one shared swap body, one shared comparator), so serial
-  // and pooled rounds commit identical bits.
+  /// \brief Stream-scoped serial kernels: one serial submission's sites.
+  ///
+  /// Construction copies the internal resharing stream into a local Rng and
+  /// loads the table's share pointers and width once; every site then draws
+  /// its masks inline from that local stream, in scalar word order, through
+  /// the same MuxSwapImpl body and comparators as the pre-draw kernels.
+  /// Destruction writes the advanced cursor back, so a submission leaves the
+  /// protocol exactly where the scalar ops would. Keeping the stream and
+  /// pointers in locals (not re-read through the protocol and the table on
+  /// every site) is what puts a serial compare-exchange at the cost of its
+  /// 1 + 2*width draws. Accounting stays with the caller, charged in
+  /// aggregate per batch.
+  ///
+  /// While one is alive nothing else may draw from the protocol's stream
+  /// and the table must not be resized.
+  class SerialSites {
+   public:
+    SerialSites(Protocol2PC* proto, SharedRows* rows)
+        : proto_(proto),
+          rng_(proto->internal_rng_),
+          s0_(rows->mutable_share0()),
+          s1_(rows->mutable_share1()),
+          w_(rows->width()) {}
+    ~SerialSites() { proto_->internal_rng_ = rng_; }
+    SerialSites(const SerialSites&) = delete;
+    SerialSites& operator=(const SerialSites&) = delete;
 
-  /// Mux-swap site with inline draws (scalar MuxSwapRows minus accounting).
-  void MuxSwapSite(SharedRows* rows, size_t i, size_t j, bool do_swap) {
-    MuxSwapImpl(rows, i, j, do_swap,
-                [this]() { return internal_rng_.Next32(); });
-  }
+    /// Mux-swap site (scalar MuxSwapRows minus accounting).
+    void MuxSwap(size_t i, size_t j, bool do_swap) {
+      MuxSwapImpl(s0_, s1_, w_, i, j, do_swap,
+                  [this]() { return rng_.Next32(); });
+    }
 
-  /// Compare-exchange site with inline draws (the swap-bit reshare is
-  /// drawn and discarded exactly as the scalar op does).
-  void CompareExchangeSite(SharedRows* rows, size_t i, size_t j,
-                           size_t key_col, bool ascending) {
-    const bool out_of_order = KeyOutOfOrder(*rows, i, j, key_col, ascending);
-    internal_rng_.Next32();  // swap-bit reshare (stream alignment)
-    MuxSwapSite(rows, i, j, out_of_order);
-  }
+    /// Compare-exchange site: the swap-bit reshare is drawn and discarded
+    /// exactly as the scalar op does.
+    void CompareExchange(size_t i, size_t j, size_t key_col, bool ascending) {
+      const bool out_of_order =
+          KeyOutOfOrder(s0_, s1_, w_, i, j, key_col, ascending);
+      rng_.Next32();  // swap-bit reshare (stream alignment)
+      MuxSwap(i, j, out_of_order);
+    }
 
-  /// Lexicographic compare-exchange site with inline draws.
-  void CompareExchangeLexSite(SharedRows* rows, size_t i, size_t j,
-                              size_t major_col, size_t minor_col,
-                              bool ascending) {
-    const bool out_of_order =
-        LexOutOfOrder(*rows, i, j, major_col, minor_col, ascending);
-    internal_rng_.Next32();  // swap-bit reshare (stream alignment)
-    MuxSwapSite(rows, i, j, out_of_order);
-  }
+    /// Lexicographic compare-exchange site.
+    void CompareExchangeLex(size_t i, size_t j, size_t major_col,
+                            size_t minor_col, bool ascending) {
+      const bool out_of_order = LexOutOfOrder(s0_, s1_, w_, i, j, major_col,
+                                              minor_col, ascending);
+      rng_.Next32();  // swap-bit reshare (stream alignment)
+      MuxSwap(i, j, out_of_order);
+    }
+
+   private:
+    Protocol2PC* proto_;
+    Rng rng_;
+    Word* s0_;
+    Word* s1_;
+    size_t w_;
+  };
 
   /// Charges the exact aggregate cost of `ops` fused (lex) compare-exchange
   /// sites over rows of `width` words and records one batch trace event.
   void AccountCompareExchangeBatch(uint64_t ops, size_t width, bool lex);
 
   /// Charges the exact aggregate cost of `ops` fused mux-swap sites over
-  /// rows of `width` words and records one batch trace event. MuxRowsBatch
-  /// charges through this, and so does the permutation-network scheduler
-  /// (src/oblivious/shuffle.cc), whose switches are mux-swaps with publicly
-  /// programmed control bits: the conditional swap still runs the full
+  /// rows of `width` words and records one batch trace event. The
+  /// permutation-network scheduler (src/oblivious/shuffle.cc) charges
+  /// through this. Its switches are mux-swaps with publicly programmed
+  /// control bits, and the conditional swap still runs the full
   /// per-bit AND circuit — hiding *whether* each switch crossed is exactly
   /// what keeps the realized permutation secret from the evaluator.
   void AccountMuxSwapBatch(uint64_t ops, size_t width);
@@ -355,12 +388,6 @@ class Protocol2PC {
                                    size_t count, size_t major_col,
                                    size_t minor_col, bool ascending,
                                    const BatchExec& exec = {});
-
-  /// Batched MuxSwapRows: obliviously swaps each disjoint pair iff its
-  /// shared `swap_bits` entry is 1. Bit-identical to the scalar sequence.
-  void MuxRowsBatch(SharedRows* rows, const RowPair* pairs,
-                    const WordShares* swap_bits, size_t count,
-                    const BatchExec& exec = {});
 
   /// Batched oblivious COUNT: evaluates `count` CountWhereTasks with one
   /// aggregate accounting event; `out[k]` receives task k's fresh sharing.
@@ -400,17 +427,14 @@ class Protocol2PC {
   void RestoreStats(const CircuitStats& stats) { stats_ = stats; }
 
  private:
-  /// The one oblivious XOR-swap body both kernel families share; `mask_fn`
-  /// supplies the 2*width resharing masks — pre-drawn array reads for the
-  /// pooled Apply* kernels, inline internal-stream draws for the serial
-  /// *Site kernels. Same word order either way, so both commit identical
-  /// bits for identical streams.
+  /// The one oblivious XOR-swap body both kernel families share, over raw
+  /// share arrays of row width `w`; `mask_fn` supplies the 2*w resharing
+  /// masks — pre-drawn array reads for the pooled Apply* kernels, inline
+  /// local-stream draws for SerialSites. Same word order either way, so
+  /// both commit identical bits for identical streams.
   template <typename MaskFn>
-  static void MuxSwapImpl(SharedRows* rows, size_t i, size_t j, bool do_swap,
-                          MaskFn&& mask_fn) {
-    const size_t w = rows->width();
-    Word* s0 = rows->mutable_share0();
-    Word* s1 = rows->mutable_share1();
+  static void MuxSwapImpl(Word* s0, Word* s1, size_t w, size_t i, size_t j,
+                          bool do_swap, MaskFn&& mask_fn) {
     Word* r0i = s0 + i * w;
     Word* r1i = s1 + i * w;
     Word* r0j = s0 + j * w;

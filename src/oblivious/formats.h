@@ -1,5 +1,6 @@
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -60,7 +61,7 @@ inline Word MakeCacheSortKey(bool is_view, uint64_t seq) {
 /// Appends a dummy (isView = 0) view-format row with random payload; used to
 /// pad transform outputs up to their public size bound.
 inline void AppendDummyViewRow(SharedRows* rows, Rng* rng, uint64_t* seq) {
-  std::vector<Word> row(kViewWidth);
+  std::array<Word, kViewWidth> row{};
   row[kViewIsViewCol] = 0;
   row[kViewSortKeyCol] = MakeCacheSortKey(false, (*seq)++);
   for (size_t c = kViewKeyCol; c < kViewWidth; ++c) row[c] = rng->Next32();

@@ -1,7 +1,9 @@
 #include "src/oblivious/join.h"
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "src/common/logging.h"
@@ -34,7 +36,7 @@ void EmitViewRow(Protocol2PC* proto, SharedRows* out, bool is_view, Word key,
                  Word date1, Word date2, Word rid1, Word rid2,
                  uint64_t* seq) {
   Rng* rng = proto->internal_rng();
-  std::vector<Word> row(kViewWidth);
+  std::array<Word, kViewWidth> row{};
   // oblivious-ok: ideal-functionality emit — every call appends exactly one
   // fresh-shared row of the same width; real/dummy split is invisible in the
   // shares and the per-slot mux cost is charged by the caller
@@ -74,9 +76,10 @@ JoinResult TruncatedSortMergeJoin(Protocol2PC* proto, const SharedRows& t1,
   SharedRows merged(kMergedWidth);
   merged.Reserve(t1.size() + t2.size());
   auto append_source = [&](const SharedRows& src, Word table_id) {
+    std::vector<Word> buf(src.width());
     for (size_t r = 0; r < src.size(); ++r) {
-      const std::vector<Word> row = src.RecoverRow(r);
-      std::vector<Word> m(kMergedWidth);
+      const std::span<const Word> row = src.RecoverRowInto(r, buf);
+      std::array<Word, kMergedWidth> m{};
       // key*2 + table_id orders T1 records before T2 records on key ties.
       m[kMergedSortCol] = (row[kSrcKeyCol] << 1) | table_id;
       m[kMergedTableCol] = table_id;
@@ -122,8 +125,9 @@ JoinResult TruncatedSortMergeJoin(Protocol2PC* proto, const SharedRows& t1,
   // slots per merged tuple are charged up front (lines above); the scan
   // emits exactly omega rows per tuple regardless of matches, and the
   // usage map models the in-circuit per-record budget columns
+  std::array<Word, kMergedWidth> buf{};
   for (size_t r = 0; r < n; ++r) {
-    const std::vector<Word> row = merged.RecoverRow(r);
+    const std::span<const Word> row = merged.RecoverRowInto(r, buf);
     const Word key = row[kMergedKeyCol];
     const bool valid = row[kMergedValidCol] != 0;
     // Dummy rows never join and never affect key groups (their random keys
@@ -248,9 +252,10 @@ uint32_t ObliviousJoinCountFull(Protocol2PC* proto, const SharedRows& t1,
   SharedRows merged(kMergedWidth);
   merged.Reserve(t1.size() + t2.size());
   auto append_source = [&](const SharedRows& src, Word table_id) {
+    std::vector<Word> buf(src.width());
     for (size_t r = 0; r < src.size(); ++r) {
-      const std::vector<Word> row = src.RecoverRow(r);
-      std::vector<Word> m(kMergedWidth);
+      const std::span<const Word> row = src.RecoverRowInto(r, buf);
+      std::array<Word, kMergedWidth> m{};
       m[kMergedSortCol] = (row[kSrcKeyCol] << 1) | table_id;
       m[kMergedTableCol] = table_id;
       m[kMergedKeyCol] = row[kSrcKeyCol];
@@ -281,8 +286,9 @@ uint32_t ObliviousJoinCountFull(Protocol2PC* proto, const SharedRows& t1,
   // oblivious-ok-begin: ideal-functionality pair count — the O(n log n)
   // prefix-aggregation circuit is charged up front (lines above); the scan
   // only computes the value that circuit would output
+  std::array<Word, kMergedWidth> buf{};
   for (size_t r = 0; r < n; ++r) {
-    const std::vector<Word> row = merged.RecoverRow(r);
+    const std::span<const Word> row = merged.RecoverRowInto(r, buf);
     if (!(row[kMergedValidCol] & 1)) continue;
     const Word key = row[kMergedKeyCol];
     if (!group_open || key != group_key) {

@@ -27,10 +27,28 @@ uint64_t DepthRec(size_t n) {
   return 2 + DepthRec(n - n / 2);
 }
 
+/// Routing scratch of one recursion depth of a WaksmanNetwork call. Blocks
+/// of one depth are routed one after another, and a block's arrays are
+/// read again only after its two subnets (one depth deeper) return, so one
+/// set per depth, sized for that depth's widest block, serves every block.
+struct RouteScratch {
+  explicit RouteScratch(size_t n)
+      : inv(n), color(n), sub_pos(n), sub_perm(n) {
+    frontier.reserve(n);
+  }
+
+  std::vector<uint32_t> inv;       ///< inv[x] = output index where input x exits
+  std::vector<int8_t> color;       ///< subnet of each output (or unset)
+  std::vector<uint32_t> frontier;  ///< propagation stack
+  std::vector<uint32_t> sub_pos;   ///< top subnet slots, then bottom's
+  std::vector<uint32_t> sub_perm;  ///< top sub-permutation, then bottom's
+};
+
 /// Routes one n-wire AS-Waksman block over the physical row slots
 /// pos[0..n), realizing slot[k] = old slot[perm[k]] (both indices local to
 /// the block), and appends its programmed switches into layers
-/// [base, base + DepthRec(n)). Wire plan (the block operates in place):
+/// [base, base + DepthRec(n)). `scratch` is this depth's RouteScratch;
+/// subnets use scratch + 1. Wire plan (the block operates in place):
 ///
 ///   * input switch i pairs slots (2i, 2i+1); its even output is wire i of
 ///     the top subnet (the even slots), its odd output wire i of the bottom
@@ -49,7 +67,7 @@ uint64_t DepthRec(size_t n) {
 /// any free component deterministically) always 2-colors the block; a
 /// conflict would mean the construction is wrong, so it CHECK-fails loudly.
 void RouteBlock(const uint32_t* pos, const uint32_t* perm, size_t n,
-                size_t base,
+                size_t base, RouteScratch* scratch,
                 std::vector<std::vector<ProgrammedSwitch>>* layers) {
   if (n < 2) return;
   if (n == 2) {
@@ -59,15 +77,15 @@ void RouteBlock(const uint32_t* pos, const uint32_t* perm, size_t n,
   const size_t half = n / 2;  // top subnet width; bottom is n - half
   const size_t out_pairs = (n % 2 == 0) ? half - 1 : half;
 
-  // inv[x] = output index where input x exits.
-  std::vector<uint32_t> inv(n);
+  uint32_t* inv = scratch->inv.data();
   for (size_t k = 0; k < n; ++k) inv[perm[k]] = static_cast<uint32_t>(k);
 
   constexpr int8_t kUnset = -1;
   constexpr int8_t kTop = 0;
   constexpr int8_t kBottom = 1;
-  std::vector<int8_t> color(n, kUnset);
-  std::vector<uint32_t> frontier;
+  int8_t* color = scratch->color.data();
+  std::fill_n(color, n, kUnset);
+  std::vector<uint32_t>& frontier = scratch->frontier;
   auto pin = [&](size_t k, int8_t c) {
     if (color[k] == kUnset) {
       color[k] = c;
@@ -109,12 +127,13 @@ void RouteBlock(const uint32_t* pos, const uint32_t* perm, size_t n,
         {{pos[2 * i], pos[2 * i + 1]}, color[inv[2 * i]] == kBottom});
   }
 
-  // Subnet slot maps and sub-permutations over subnet wires.
+  // Subnet slot maps and sub-permutations over subnet wires: the top
+  // subnet's in [0, half), the bottom's in [half, n).
   const size_t bot_n = n - half;
-  std::vector<uint32_t> top_pos(half);
-  std::vector<uint32_t> top_perm(half);
-  std::vector<uint32_t> bot_pos(bot_n);
-  std::vector<uint32_t> bot_perm(bot_n);
+  uint32_t* top_pos = scratch->sub_pos.data();
+  uint32_t* top_perm = scratch->sub_perm.data();
+  uint32_t* bot_pos = top_pos + half;
+  uint32_t* bot_perm = top_perm + half;
   for (size_t i = 0; i < half; ++i) {
     top_pos[i] = pos[2 * i];
     bot_pos[i] = pos[2 * i + 1];
@@ -132,8 +151,8 @@ void RouteBlock(const uint32_t* pos, const uint32_t* perm, size_t n,
     }
   }
 
-  RouteBlock(top_pos.data(), top_perm.data(), half, base + 1, layers);
-  RouteBlock(bot_pos.data(), bot_perm.data(), bot_n, base + 1, layers);
+  RouteBlock(top_pos, top_perm, half, base + 1, scratch + 1, layers);
+  RouteBlock(bot_pos, bot_perm, bot_n, base + 1, scratch + 1, layers);
 
   // Output column, after the deeper (bottom) subnet's last layer.
   const size_t out_base = base + 1 + DepthRec(bot_n);
@@ -170,11 +189,12 @@ void ApplyShuffleRange(const ShuffleState& s, size_t begin, size_t end) {
   }
 }
 
-/// Serial-round variant: inline-draw site kernels, same per-proto draw
-/// sequence, masks never leave registers.
-void ApplyShuffleSitesFused(ShuffleState* s) {
-  for (const ProgrammedSwitch& sw : s->switches) {
-    s->job.proto->MuxSwapSite(s->job.rows, sw.pair.a, sw.pair.b, sw.swap);
+/// Serial-round variant: one SerialSites submission per job and layer —
+/// same per-proto draw sequence, masks never leave registers.
+void ApplyShuffleSitesFused(const ShuffleState& s) {
+  Protocol2PC::SerialSites sites(s.job.proto, s.job.rows);
+  for (const ProgrammedSwitch& sw : s.switches) {
+    sites.MuxSwap(sw.pair.a, sw.pair.b, sw.swap);
   }
 }
 
@@ -217,9 +237,13 @@ std::vector<std::vector<ProgrammedSwitch>> WaksmanNetwork(
     INCSHRINK_CHECK(!seen[v]);
     seen[v] = true;
   }
+  // One RouteScratch per depth that routes (blocks wider than 2); a
+  // depth's widest block is the bottom subnet, ceil of the one above.
+  std::vector<RouteScratch> scratch;
+  for (size_t w = n; w > 2; w -= w / 2) scratch.emplace_back(w);
   std::vector<uint32_t> pos(n);
   for (size_t i = 0; i < n; ++i) pos[i] = static_cast<uint32_t>(i);
-  RouteBlock(pos.data(), perm.data(), n, 0, &layers);
+  RouteBlock(pos.data(), perm.data(), n, 0, scratch.data(), &layers);
   return layers;
 }
 
@@ -266,26 +290,8 @@ std::vector<uint32_t> DrawPublicPermutation(Protocol2PC* proto, size_t n) {
 void ObliviousShuffle(Protocol2PC* proto, SharedRows* rows,
                       const std::vector<uint32_t>& perm,
                       const BatchExec& exec) {
-  INCSHRINK_CHECK_EQ(perm.size(), rows->size());
-  if (rows->size() < 2) return;
-  ShuffleLayerCursor cursor(perm);
-  std::vector<ProgrammedSwitch> layer;
-  std::vector<RowPair> pairs;
-  std::vector<WordShares> bits;
-  while (cursor.Next(&layer)) {
-    if (layer.empty()) continue;
-    pairs.clear();
-    bits.clear();
-    pairs.reserve(layer.size());
-    bits.reserve(layer.size());
-    for (const ProgrammedSwitch& sw : layer) {
-      pairs.push_back(sw.pair);
-      // Public control bit as a constant sharing: the mux-swap circuit runs
-      // either way, so cost and trace depend on the switch count only.
-      bits.push_back(Protocol2PC::ConstShare(sw.swap ? 1 : 0));
-    }
-    proto->MuxRowsBatch(rows, pairs.data(), bits.data(), pairs.size(), exec);
-  }
+  ShuffleJob job{proto, rows, &perm};
+  ObliviousShuffleBatch(&job, 1, exec);
 }
 
 void ObliviousShuffleBatch(ShuffleJob* jobs, size_t num_jobs,
@@ -301,20 +307,13 @@ void ObliviousShuffleBatch(ShuffleJob* jobs, size_t num_jobs,
       INCSHRINK_CHECK(jobs[i].proto != jobs[j].proto);
     }
   }
-  if (num_jobs == 1) {
-    // Single job: one MuxRowsBatch submission per layer — the batch API,
-    // with its pre-draw + chunked pooled apply, IS this hot path.
-    ObliviousShuffle(jobs[0].proto, jobs[0].rows, *jobs[0].perm, exec);
-    return;
-  }
-
   std::vector<ShuffleState> states;
   states.reserve(num_jobs);
   for (size_t i = 0; i < num_jobs; ++i) states.emplace_back(jobs[i]);
 
   // Lockstep layer rounds, exactly the ObliviousSortBatch discipline:
   // phase 1 emits and accounts each job's layer serially in job order,
-  // phase 2 applies the round's sites — fused serial site kernels, or
+  // phase 2 applies the round's sites — one SerialSites run per job, or
   // per-job pre-drawn masks with a cross-job chunked pooled apply.
   while (true) {
     size_t total_sites = 0;
@@ -338,7 +337,7 @@ void ObliviousShuffleBatch(ShuffleJob* jobs, size_t num_jobs,
     if (exec.Serial(total_sites)) {
       for (ShuffleState& s : states) {
         if (!s.active || s.switches.empty()) continue;
-        ApplyShuffleSitesFused(&s);
+        ApplyShuffleSitesFused(s);
       }
       continue;
     }

@@ -2,6 +2,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "src/common/thread_pool.h"
@@ -27,9 +28,10 @@ namespace incshrink {
 ///
 /// Execution model mirrors src/oblivious/sort.cc: the network is emitted
 /// layer by layer (a `ShuffleLayerCursor`), every layer's switches touch
-/// pairwise-disjoint rows, and each layer is one batched `MuxRowsBatch`
-/// submission — pre-drawn resharing masks in scalar site order, aggregate
-/// cost charged once per layer, optionally thread-parallel apply. Output
+/// pairwise-disjoint rows, and each layer is one batched mux-swap
+/// submission — a serial `Protocol2PC::SerialSites` run, or pre-drawn
+/// resharing masks in scalar site order with a thread-parallel apply —
+/// with its aggregate cost charged once per layer. Output
 /// shares, the internal randomness stream and the aggregate circuit cost
 /// are bit-identical at any thread count (tests/shuffle_test.cc).
 ///
@@ -71,18 +73,18 @@ std::vector<uint64_t> ShuffleNetworkLayerSizes(size_t n);
 
 /// Enumerates a programmed network one layer at a time, mirroring
 /// LayerCursor in src/oblivious/sort.cc: each `Next` yields one layer of
-/// disjoint switches, the unit submitted as one batched MuxRowsBatch call.
+/// disjoint switches, the unit submitted as one batched mux-swap round.
 class ShuffleLayerCursor {
  public:
   explicit ShuffleLayerCursor(const std::vector<uint32_t>& perm)
       : layers_(WaksmanNetwork(perm)) {}
 
-  /// Fills `out` with the next layer's switches; returns false when the
-  /// network is exhausted.
+  /// Moves the next layer's switches into `out` (each layer is handed out
+  /// once, never copied); returns false when the network is exhausted.
   bool Next(std::vector<ProgrammedSwitch>* out) {
     out->clear();
     if (next_ >= layers_.size()) return false;
-    *out = layers_[next_++];
+    *out = std::move(layers_[next_++]);
     return true;
   }
 
@@ -102,7 +104,8 @@ class ShuffleLayerCursor {
 std::vector<uint32_t> DrawPublicPermutation(Protocol2PC* proto, size_t n);
 
 /// Applies `perm` to `rows` obliviously (rows'[k] = rows[perm[k]]) through
-/// the programmed Waksman network, one MuxRowsBatch submission per layer.
+/// the programmed Waksman network: the single-job ObliviousShuffleBatch,
+/// one mux-swap submission per layer.
 void ObliviousShuffle(Protocol2PC* proto, SharedRows* rows,
                       const std::vector<uint32_t>& perm,
                       const BatchExec& exec = {});

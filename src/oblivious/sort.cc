@@ -1,6 +1,7 @@
 #include "src/oblivious/sort.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "src/common/logging.h"
 #include "src/oblivious/shuffle.h"
@@ -12,18 +13,20 @@ namespace {
 /// Visits every compare-exchange (a, b) of one layer — one (p, k) pass —
 /// of Batcher's odd-even merge network for n rows, in scalar execution
 /// order. This is the single definition of the network's index math
-/// (including the `a / (p*2) == b / (p*2)` block guard): the scalar
-/// reference path, the layer cursor and the serial fast path all funnel
-/// through it, so the batched/scalar bit-equality contract has exactly one
-/// loop nest to keep correct.
+/// (including the same-2p-block guard): the scalar reference path, the
+/// layer cursor and the serial fast path all funnel through it, so the
+/// batched/scalar bit-equality contract has exactly one loop nest to keep
+/// correct. p is always a power of two, so the block guard
+/// `a / (2p) == b / (2p)` is a shift rather than a division per pair.
 template <typename Visitor>
 void VisitLayerPairs(size_t n, size_t p, size_t k, Visitor&& visit) {
+  const int block_shift = std::countr_zero(p) + 1;
   for (size_t j = k % p; j + k < n; j += 2 * k) {
     for (size_t i = 0; i < k; ++i) {
       const size_t a = i + j;
       const size_t b = i + j + k;
       if (b >= n) break;
-      if (a / (p * 2) == b / (p * 2)) visit(a, b);
+      if ((a >> block_shift) == (b >> block_shift)) visit(a, b);
     }
   }
 }
@@ -120,49 +123,52 @@ void ApplyJobRange(const JobState& state, size_t begin, size_t end) {
   }
 }
 
-/// Serial-round variant: runs the inline-draw site kernels — the per-proto
-/// draw sequence is identical (site order == scalar order), but the masks
-/// never leave registers.
-void ApplyJobSitesFused(JobState* state) {
-  const SortJob& j = state->job;
+/// Serial-round variant: one SerialSites submission per job and layer —
+/// the per-proto draw sequence is identical (site order == scalar order),
+/// but the masks never leave registers.
+void ApplyJobSitesFused(const JobState& state) {
+  const SortJob& j = state.job;
+  Protocol2PC::SerialSites sites(j.proto, j.rows);
   if (j.lex) {
-    for (const RowPair& pr : state->pairs) {
-      j.proto->CompareExchangeLexSite(j.rows, pr.a, pr.b, j.key_col,
-                                      j.minor_col, j.ascending);
+    for (const RowPair& pr : state.pairs) {
+      sites.CompareExchangeLex(pr.a, pr.b, j.key_col, j.minor_col,
+                               j.ascending);
     }
   } else {
-    for (const RowPair& pr : state->pairs) {
-      j.proto->CompareExchangeSite(j.rows, pr.a, pr.b, j.key_col,
-                                   j.ascending);
+    for (const RowPair& pr : state.pairs) {
+      sites.CompareExchange(pr.a, pr.b, j.key_col, j.ascending);
     }
   }
 }
 
 /// Single-job fully-serial fast path: walks the network's (p, k) layers
-/// with inline index math — no pair materialization, no mask buffer — and
-/// charges each layer's aggregate cost once. The draw sequence is the site
-/// kernels' (== scalar order); accounting touches no protocol randomness,
-/// so charging after a layer's sites instead of before commits identical
-/// state. This is the shape of the hot loop in an unsharded deployment.
+/// with inline index math — no pair materialization, no mask buffer — as
+/// one SerialSites submission, and charges each layer's aggregate cost
+/// once. The draw sequence is the scalar order; accounting touches no
+/// protocol randomness, so charging after a layer's sites instead of
+/// before commits identical state. This is the shape of the hot loop in an
+/// unsharded deployment.
 void SerialSortSingle(const SortJob& job) {
   const size_t n = job.rows->size();
   if (n < 2) return;
   Protocol2PC* proto = job.proto;
-  SharedRows* rows = job.rows;
-  const size_t width = rows->width();
+  const size_t width = job.rows->width();
+  const size_t key_col = job.key_col;
+  const size_t minor_col = job.minor_col;
+  const bool ascending = job.ascending;
+  Protocol2PC::SerialSites sites(proto, job.rows);
   size_t p = 1;
   size_t k = 1;
   do {
     uint64_t ops = 0;
     if (job.lex) {
       VisitLayerPairs(n, p, k, [&](size_t a, size_t b) {
-        proto->CompareExchangeLexSite(rows, a, b, job.key_col, job.minor_col,
-                                      job.ascending);
+        sites.CompareExchangeLex(a, b, key_col, minor_col, ascending);
         ++ops;
       });
     } else {
       VisitLayerPairs(n, p, k, [&](size_t a, size_t b) {
-        proto->CompareExchangeSite(rows, a, b, job.key_col, job.ascending);
+        sites.CompareExchange(a, b, key_col, ascending);
         ++ops;
       });
     }
@@ -279,7 +285,7 @@ void ObliviousSortBatch(SortJob* jobs, size_t num_jobs,
     if (exec.Serial(total_sites)) {
       for (JobState& s : states) {
         if (s.pairs.empty() || !s.active) continue;
-        ApplyJobSitesFused(&s);
+        ApplyJobSitesFused(s);
       }
       continue;
     }

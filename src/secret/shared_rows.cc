@@ -6,12 +6,15 @@
 
 namespace incshrink {
 
-void SharedRows::AppendSecretRow(const std::vector<Word>& row, Rng* rng) {
+void SharedRows::AppendSecretRow(std::span<const Word> row, Rng* rng) {
   INCSHRINK_CHECK_EQ(row.size(), width_);
-  for (Word v : row) {
-    const WordShares s = ShareWord(v, rng);
-    shares0_.push_back(s.s0);
-    shares1_.push_back(s.s1);
+  const size_t base = shares0_.size();
+  shares0_.resize(base + width_);
+  shares1_.resize(base + width_);
+  for (size_t c = 0; c < width_; ++c) {
+    const WordShares s = ShareWord(row[c], rng);
+    shares0_[base + c] = s.s0;
+    shares1_[base + c] = s.s1;
   }
   ++rows_;
 }
@@ -77,8 +80,15 @@ void SharedRows::Truncate(size_t n) {
 }
 
 std::vector<Word> SharedRows::RecoverRow(size_t i) const {
-  INCSHRINK_CHECK_LT(i, rows_);
   std::vector<Word> out(width_);
+  RecoverRowInto(i, out);
+  return out;
+}
+
+std::span<const Word> SharedRows::RecoverRowInto(size_t i,
+                                                 std::span<Word> out) const {
+  INCSHRINK_CHECK_LT(i, rows_);
+  INCSHRINK_CHECK_EQ(out.size(), width_);
   for (size_t c = 0; c < width_; ++c)
     out[c] = shares0_[i * width_ + c] ^ shares1_[i * width_ + c];
   return out;

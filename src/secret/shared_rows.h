@@ -1,6 +1,8 @@
 #pragma once
 
 #include <cstddef>
+#include <initializer_list>
+#include <span>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -39,7 +41,10 @@ class SharedRows {
   }
 
   /// Shares the plaintext `row` (length == width) and appends it.
-  void AppendSecretRow(const std::vector<Word>& row, Rng* rng);
+  void AppendSecretRow(std::span<const Word> row, Rng* rng);
+  void AppendSecretRow(std::initializer_list<Word> row, Rng* rng) {
+    AppendSecretRow(std::span<const Word>(row.begin(), row.size()), rng);
+  }
 
   /// Appends a row given its two pre-computed share blocks.
   void AppendSharedRow(const std::vector<Word>& share0,
@@ -65,6 +70,11 @@ class SharedRows {
 
   /// Recovers the plaintext of row `i` (test/ideal-functionality use only).
   std::vector<Word> RecoverRow(size_t i) const;
+
+  /// RecoverRow into caller-owned storage (`out.size() == width`), for
+  /// per-row scan loops that would otherwise allocate a vector per row.
+  /// Returns `out`.
+  std::span<const Word> RecoverRowInto(size_t i, std::span<Word> out) const;
 
   /// Recovers the word at (row, col).
   Word RecoverAt(size_t row, size_t col) const;

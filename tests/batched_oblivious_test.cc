@@ -128,61 +128,96 @@ struct ProtoPair {
   Protocol2PC proto{&s0, &s1, CostModel::EmpLikeLan()};
 };
 
+/// Rows of `width` words: the view format at kViewWidth, otherwise
+/// duplicate-heavy keys in kViewSortKeyCol (ties exercise the comparator's
+/// keep-order arm) and noise elsewhere.
+SharedRows RandomRows(Rng* rng, size_t n, size_t width) {
+  if (width == kViewWidth) return RandomViewRows(rng, n);
+  SharedRows rows(width);
+  std::vector<Word> row(width);
+  for (size_t i = 0; i < n; ++i) {
+    for (Word& w : row) w = rng->Next32();
+    row[kViewSortKeyCol] = rng->Next32() % 97;
+    rows.AppendSecretRow(row, rng);
+  }
+  return rows;
+}
+
+/// The whole resharing-stream cursor must agree, not just the next word: a
+/// serial kernel that runs on a local copy of the stream has to write back
+/// exactly the state the scalar ops leave.
+void ExpectRngStatesEqual(const RngState& a, const RngState& b) {
+  for (int i = 0; i < 4; ++i) EXPECT_EQ(a.s[i], b.s[i]) << "word " << i;
+  EXPECT_EQ(a.cached_normal_bits, b.cached_normal_bits);
+  EXPECT_EQ(a.have_cached_normal, b.have_cached_normal);
+}
+
+void ExpectStreamsEqual(Protocol2PC* a, Protocol2PC* b) {
+  ExpectRngStatesEqual(a->internal_rng()->ExportState(),
+                       b->internal_rng()->ExportState());
+}
+
 TEST(BatchedScalarEquivalenceTest, SortMatchesScalarBitForBit) {
-  for (const size_t n : {0u, 1u, 2u, 3u, 5u, 64u, 100u, 257u}) {
-    for (const int threads : {1, 2, 8}) {
-      SCOPED_TRACE("n=" + std::to_string(n) +
-                   " threads=" + std::to_string(threads));
-      Rng data_rng(7 + n);
-      const SharedRows input = RandomViewRows(&data_rng, n);
+  for (const size_t width : {5u, 6u, 7u}) {
+    for (const size_t n :
+         {0u, 1u, 2u, 3u, 5u, 64u, 100u, 257u, 1000u, 4096u}) {
+      for (const int threads : {1, 2, 8}) {
+        SCOPED_TRACE("width=" + std::to_string(width) +
+                     " n=" + std::to_string(n) +
+                     " threads=" + std::to_string(threads));
+        Rng data_rng(7 + n);
+        const SharedRows input = RandomRows(&data_rng, n, width);
 
-      ProtoPair scalar;
-      SharedRows a = input;
-      ObliviousSortScalar(&scalar.proto, &a, kViewSortKeyCol, false);
+        ProtoPair scalar;
+        SharedRows a = input;
+        ObliviousSortScalar(&scalar.proto, &a, kViewSortKeyCol, false);
 
-      ProtoPair batched;
-      ThreadPool pool(threads);
-      SharedRows b = input;
-      // min_parallel_ops = 1: force the pool-split path for every layer.
-      ObliviousSort(&batched.proto, &b, kViewSortKeyCol, false,
-                    BatchExec{&pool, 1});
+        ProtoPair batched;
+        ThreadPool pool(threads);
+        SharedRows b = input;
+        // min_parallel_ops = 1: force the pool-split path for every layer
+        // (a 1-thread pool runs the serial kernel).
+        ObliviousSort(&batched.proto, &b, kViewSortKeyCol, false,
+                      BatchExec{&pool, 1});
 
-      ExpectRowsIdentical(a, b);
-      ExpectStatsEqual(scalar.proto.Snapshot(), batched.proto.Snapshot());
-      // The internal resharing streams must stay aligned: the next draw
-      // from each side is the same word.
-      EXPECT_EQ(scalar.proto.internal_rng()->Next32(),
-                batched.proto.internal_rng()->Next32());
+        ExpectRowsIdentical(a, b);
+        ExpectStatsEqual(scalar.proto.Snapshot(), batched.proto.Snapshot());
+        ExpectStreamsEqual(&scalar.proto, &batched.proto);
+      }
     }
   }
 }
 
 TEST(BatchedScalarEquivalenceTest, LexSortMatchesScalarBitForBit) {
-  for (const size_t n : {0u, 2u, 5u, 64u, 100u, 257u}) {
-    for (const int threads : {1, 2, 8}) {
-      SCOPED_TRACE("n=" + std::to_string(n) +
-                   " threads=" + std::to_string(threads));
-      Rng data_rng(100 + n);
-      SharedRows input(4);
-      for (size_t i = 0; i < n; ++i) {
-        input.AppendSecretRow({data_rng.Next32() % 13, data_rng.Next32() % 7,
-                               data_rng.Next32(), data_rng.Next32()},
-                              &data_rng);
+  for (const size_t width : {4u, 5u, 6u, 7u}) {
+    for (const size_t n : {0u, 2u, 5u, 64u, 100u, 257u, 1000u, 4096u}) {
+      for (const int threads : {1, 2, 8}) {
+        SCOPED_TRACE("width=" + std::to_string(width) +
+                     " n=" + std::to_string(n) +
+                     " threads=" + std::to_string(threads));
+        Rng data_rng(100 + n);
+        SharedRows input(width);
+        std::vector<Word> row(width);
+        for (size_t i = 0; i < n; ++i) {
+          row[0] = data_rng.Next32() % 13;
+          row[1] = data_rng.Next32() % 7;
+          for (size_t c = 2; c < width; ++c) row[c] = data_rng.Next32();
+          input.AppendSecretRow(row, &data_rng);
+        }
+
+        ProtoPair scalar;
+        SharedRows a = input;
+        ObliviousSortLexScalar(&scalar.proto, &a, 0, 1, true);
+
+        ProtoPair batched;
+        ThreadPool pool(threads);
+        SharedRows b = input;
+        ObliviousSortLex(&batched.proto, &b, 0, 1, true, BatchExec{&pool, 1});
+
+        ExpectRowsIdentical(a, b);
+        ExpectStatsEqual(scalar.proto.Snapshot(), batched.proto.Snapshot());
+        ExpectStreamsEqual(&scalar.proto, &batched.proto);
       }
-
-      ProtoPair scalar;
-      SharedRows a = input;
-      ObliviousSortLexScalar(&scalar.proto, &a, 0, 1, true);
-
-      ProtoPair batched;
-      ThreadPool pool(threads);
-      SharedRows b = input;
-      ObliviousSortLex(&batched.proto, &b, 0, 1, true, BatchExec{&pool, 1});
-
-      ExpectRowsIdentical(a, b);
-      ExpectStatsEqual(scalar.proto.Snapshot(), batched.proto.Snapshot());
-      EXPECT_EQ(scalar.proto.internal_rng()->Next32(),
-                batched.proto.internal_rng()->Next32());
     }
   }
 }
@@ -227,42 +262,8 @@ TEST(BatchedScalarEquivalenceTest, CompareExchangeBatchMatchesScalarOps) {
       }
       ExpectRowsIdentical(a, b);
       ExpectStatsEqual(scalar.proto.Snapshot(), batched.proto.Snapshot());
-      EXPECT_EQ(scalar.proto.internal_rng()->Next32(),
-                batched.proto.internal_rng()->Next32());
+      ExpectStreamsEqual(&scalar.proto, &batched.proto);
     }
-  }
-}
-
-TEST(BatchedScalarEquivalenceTest, MuxRowsBatchMatchesScalarMuxSwaps) {
-  const size_t n = 64;
-  Rng data_rng(5);
-  const SharedRows input = RandomViewRows(&data_rng, n);
-  // Disjoint pairs (2p, 2p+1) with a deterministic swap-bit pattern, shared
-  // with fixed masks so neither path consumes protocol randomness for them.
-  std::vector<RowPair> pairs;
-  std::vector<WordShares> bits;
-  for (uint32_t p = 0; p < n / 2; ++p) {
-    pairs.push_back({2 * p, 2 * p + 1});
-    const Word bit = (p % 3 == 0) ? 1 : 0;
-    bits.push_back(WordShares{0xABCD0000u + p, (0xABCD0000u + p) ^ bit});
-  }
-
-  for (const int threads : {1, 2, 8}) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    ProtoPair scalar;
-    SharedRows a = input;
-    for (size_t p = 0; p < pairs.size(); ++p) {
-      scalar.proto.MuxSwapRows(&a, pairs[p].a, pairs[p].b, bits[p]);
-    }
-    ProtoPair batched;
-    ThreadPool pool(threads);
-    SharedRows b = input;
-    batched.proto.MuxRowsBatch(&b, pairs.data(), bits.data(), pairs.size(),
-                               BatchExec{&pool, 1});
-    ExpectRowsIdentical(a, b);
-    ExpectStatsEqual(scalar.proto.Snapshot(), batched.proto.Snapshot());
-    EXPECT_EQ(scalar.proto.internal_rng()->Next32(),
-              batched.proto.internal_rng()->Next32());
   }
 }
 
@@ -356,6 +357,7 @@ TEST(SortFusionTest, FusedJobsMatchStandaloneSorts) {
     // Reference: each job sorted alone on its own protocol.
     std::vector<SharedRows> want;
     std::vector<CircuitStats> want_stats;
+    std::vector<RngState> want_streams;
     for (size_t j = 0; j < sizes.size(); ++j) {
       Rng data_rng(31 + j);
       SharedRows rows = RandomViewRows(&data_rng, sizes[j]);
@@ -364,6 +366,7 @@ TEST(SortFusionTest, FusedJobsMatchStandaloneSorts) {
       ObliviousSort(&proto, &rows, kViewSortKeyCol, false);
       want.push_back(std::move(rows));
       want_stats.push_back(proto.Snapshot());
+      want_streams.push_back(proto.internal_rng()->ExportState());
     }
     // Fused: all jobs in one submission, pooled layer rounds.
     std::vector<SharedRows> got;
@@ -389,6 +392,8 @@ TEST(SortFusionTest, FusedJobsMatchStandaloneSorts) {
       SCOPED_TRACE("job " + std::to_string(j));
       ExpectRowsIdentical(want[j], got[j]);
       ExpectStatsEqual(want_stats[j], protos[j]->Snapshot());
+      ExpectRngStatesEqual(want_streams[j],
+                           protos[j]->internal_rng()->ExportState());
     }
   }
 }

@@ -193,6 +193,45 @@ TEST(WaksmanNetworkTest, SwitchCountIsNLogNMinusNPlusOneAtPowersOfTwo) {
   EXPECT_EQ(ShuffleNetworkSwitches(3), 3u);
 }
 
+/// FNV-1a over every (pair.a, pair.b, swap) of a programmed network, in
+/// layer order and in-layer order (little-endian a and b, one swap byte).
+uint64_t NetworkProgramHash(
+    const std::vector<std::vector<ProgrammedSwitch>>& layers) {
+  uint64_t h = 0xcbf29ce484222325ull;
+  const auto fold = [&h](uint64_t v, int bytes) {
+    for (int i = 0; i < bytes; ++i) {
+      h ^= (v >> (8 * i)) & 0xFF;
+      h *= 0x100000001b3ull;
+    }
+  };
+  for (const auto& layer : layers) {
+    for (const ProgrammedSwitch& sw : layer) {
+      fold(sw.pair.a, 4);
+      fold(sw.pair.b, 4);
+      fold(sw.swap ? 1 : 0, 1);
+    }
+  }
+  return h;
+}
+
+TEST(WaksmanNetworkTest, ProgrammingIsPinnedForSeededPermutations) {
+  // The realization tests accept any network that realizes `perm`; this
+  // pins the exact programming (free-cycle choices, in-layer order), which
+  // is what the shuffle's mask draws and committed shares depend on.
+  const std::vector<std::pair<size_t, uint64_t>> pinned = {
+      {2, 0xd955a00fa740c10full},    {3, 0x07b52ed545f81df2ull},
+      {7, 0x39c0d28884324adbull},    {8, 0x470b8ca3175fdd4bull},
+      {63, 0x777958fa9bc0948dull},   {64, 0x8f251a172126833cull},
+      {1000, 0x9932270aa9140a5bull}, {4096, 0xd84988ee1cf2014cull}};
+  for (const auto& [n, want] : pinned) {
+    Rng gen(2022 + n);
+    std::vector<uint32_t> perm(n);
+    std::iota(perm.begin(), perm.end(), 0u);
+    SeededShuffle(perm.begin(), perm.end(), &gen);
+    EXPECT_EQ(NetworkProgramHash(WaksmanNetwork(perm)), want) << "n=" << n;
+  }
+}
+
 TEST(ShuffleLayerCursorTest, EnumeratesExactlyTheMaterializedLayers) {
   std::vector<uint32_t> perm{3, 0, 4, 1, 2};
   const auto layers = WaksmanNetwork(perm);
@@ -303,11 +342,13 @@ TEST(ObliviousShuffleTest, BatchedEqualsSerialAtAllThreadCounts) {
       ObliviousShuffle(&batched.proto, &b, perm, BatchExec{&pool, 1});
       ExpectRowsIdentical(s, b);
       ExpectStatsEqual(serial.proto.stats(), batched.proto.stats());
-      // The post-shuffle randomness streams must agree too.
-      std::vector<Word> ws(4), wb(4);
-      serial.proto.DrawReshareMasks(4, ws.data());
-      batched.proto.DrawReshareMasks(4, wb.data());
-      EXPECT_EQ(ws, wb);
+      // The post-shuffle randomness streams must agree too: the whole
+      // cursor, so a serial kernel's written-back stream is exact.
+      const RngState ss = serial.proto.internal_rng()->ExportState();
+      const RngState sb = batched.proto.internal_rng()->ExportState();
+      for (int i = 0; i < 4; ++i) EXPECT_EQ(ss.s[i], sb.s[i]) << "word " << i;
+      EXPECT_EQ(ss.cached_normal_bits, sb.cached_normal_bits);
+      EXPECT_EQ(ss.have_cached_normal, sb.have_cached_normal);
     }
   }
 }

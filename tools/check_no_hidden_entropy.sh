@@ -187,10 +187,11 @@ fi
 # Batch-kernel hygiene (batched-oblivious-execution satellite): the batch
 # scheduler (src/oblivious/sort.cc) must take randomness exclusively through
 # the protocol's stream — DrawReshareMasks for pre-drawn pooled rounds, or
-# the *Site kernels (which draw inline from the same stream) for serial
-# rounds. A raw Rng construction or direct Next32/Next64 draw in the
-# scheduler would desynchronize the batched path from the scalar resharing
-# sequence and silently break the bit-for-bit equivalence contract
+# Protocol2PC::SerialSites (which draws inline from a local copy of the same
+# stream, inside src/mpc/protocol.h) for serial rounds. A raw Rng
+# construction or direct Next32/Next64 draw in the scheduler would
+# desynchronize the batched path from the scalar resharing sequence and
+# silently break the bit-for-bit equivalence contract
 # (tests/batched_oblivious_test.cc is the runtime half of this check).
 BATCH_SCHEDULER=src/oblivious/sort.cc
 if [ -f "$BATCH_SCHEDULER" ]; then
@@ -201,7 +202,7 @@ if [ -f "$BATCH_SCHEDULER" ]; then
     echo "$hits"
     echo
     say "Batched kernels must draw only via Protocol2PC::DrawReshareMasks"
-    say "or the inline *Site kernels (src/mpc/protocol.h)."
+    say "or the Protocol2PC::SerialSites kernels (src/mpc/protocol.h)."
     exit 1
   fi
 fi
