@@ -46,30 +46,76 @@ constexpr uint32_t kTagLogs = CheckpointTag('L', 'O', 'G', 'S');
 constexpr uint32_t kTagChannel1 = CheckpointTag('C', 'H', 'N', '1');
 constexpr uint32_t kTagChannel2 = CheckpointTag('C', 'H', 'N', '2');
 
+/// Store section (ICKP v2): first retained step, lifetime row total, then
+/// the count-prefixed held batches [first_retained, steps).
 void SaveStore(CheckpointWriter* w, uint32_t tag,
                const OutsourcedTable& store) {
   w->BeginSection(tag);
-  w->U64(store.steps());
-  for (uint64_t s = 0; s < store.steps(); ++s) {
+  w->U64(store.first_retained());
+  w->U64(store.total_rows());
+  w->U64(store.steps() - store.first_retained());
+  for (uint64_t s = store.first_retained(); s < store.steps(); ++s) {
     w->WriteSharedRows(store.batch(s));
   }
   w->EndSection();
 }
 
-Status LoadStore(CheckpointReader* r, uint32_t tag, size_t width,
-                 std::vector<SharedRows>* out) {
+/// A decoded store section, committed by OutsourcedTable::Restore.
+struct StoreSnapshot {
+  uint64_t first_retained = 0;
+  uint64_t total_rows = 0;
+  std::vector<SharedRows> batches;
+};
+
+/// Decodes a store section whose restored clock implies `steps` lifetime
+/// upload steps and the retention floor `floor`; any other first retained
+/// step or batch count is rejected before a batch is read.
+Status LoadStore(CheckpointReader* r, uint32_t tag, uint64_t steps,
+                 uint64_t floor, StoreSnapshot* out) {
   r->BeginSection(tag);
-  const uint64_t steps = r->U64();
-  for (uint64_t s = 0; s < steps && r->ok(); ++s) {
+  out->first_retained = r->U64();
+  out->total_rows = r->U64();
+  const uint64_t count = r->U64();
+  INCSHRINK_RETURN_NOT_OK(r->ExpectOk("outsourced store header"));
+  if (out->first_retained != floor) {
+    return Status::InvalidArgument(
+        "snapshot store's first retained step is not its clock's floor");
+  }
+  if (count != steps - floor) {
+    return Status::InvalidArgument(
+        "snapshot store holds the wrong number of batches");
+  }
+  for (uint64_t s = 0; s < count && r->ok(); ++s) {
     INCSHRINK_ASSIGN_OR_RETURN(SharedRows batch, r->ReadSharedRows());
-    if (batch.width() != width) {
+    if (batch.width() != kSrcWidth) {
       return Status::InvalidArgument(
           "snapshot store batch has the wrong row width");
     }
-    out->push_back(std::move(batch));
+    out->batches.push_back(std::move(batch));
   }
   r->EndSection();
   return r->ExpectOk("outsourced store");
+}
+
+/// True when a decoded store agrees with its per-step upload-size log: the
+/// lifetime total is the log's sum and each held batch has its logged size.
+bool StoreMatchesLog(const StoreSnapshot& store,
+                     const std::vector<uint64_t>& log) {
+  uint64_t total = 0;
+  for (const uint64_t rows : log) {
+    if (rows > std::numeric_limits<uint64_t>::max() - total) return false;
+    total += rows;
+  }
+  if (total != store.total_rows ||
+      store.first_retained + store.batches.size() > log.size()) {
+    return false;
+  }
+  for (size_t i = 0; i < store.batches.size(); ++i) {
+    if (store.batches[i].size() != log[store.first_retained + i]) {
+      return false;
+    }
+  }
+  return true;
 }
 
 void SaveChannel(CheckpointWriter* w, uint32_t tag, const UploadChannel& ch) {
@@ -263,14 +309,18 @@ Status Engine::BeginStep() {
   // A rejected step (malformed peer frame) must leave the engine steppable:
   // drop the half-built step state so the next Begin/Step starts clean.
   if (!st.ok()) pending_.reset();
+  // Transform is the last reader of the stores in a step (only NM's query
+  // reads them later, and its floor is 0), so evict every batch no future
+  // invocation can read. Runs on every outcome, so between steps each store
+  // always holds exactly [RetainFrom(t_), t_).
+  const uint64_t floor = TransformProtocol::RetainFrom(config_, t_);
+  store1_.EvictBefore(floor);
+  if (config_.view_kind != ViewKind::kFilter) store2_.EvictBefore(floor);
   return st;
 }
 
 Status Engine::BeginStepImpl() {
   PendingStep& p = *pending_;
-  ++t_;
-  StepMetrics& m = p.m;
-  m.t = t_;
 
   // Drain queued owner frames: at most max_batches_per_step per channel, in
   // fixed owner order (a T1 frame, then its paired T2 frame — join views
@@ -279,49 +329,69 @@ Status Engine::BeginStepImpl() {
   // Transform still sees exactly one batch per engine step; the drain count
   // is a pure function of the queue depths and the config bound.
   const bool join_view = config_.view_kind != ViewKind::kFilter;
-  SharedRows merged1(kSrcWidth);
-  SharedRows merged2(kSrcWidth);
-  for (uint32_t b = 0; b < config_.max_batches_per_step; ++b) {
-    if (join_view && channel2_.empty()) break;  // wait for the full pair
-    std::vector<uint8_t> raw1;
-    if (!channel1_.TryPop(&raw1)) break;
-    INCSHRINK_ASSIGN_OR_RETURN(const UploadFrame f1, DecodeUploadFrame(raw1));
-    // A malformed peer must surface as a Status, never abort the server:
-    // validate the decoded width before AppendAll's internal CHECK sees it.
-    if (f1.batch.width() != kSrcWidth) {
+  size_t drain = std::min<size_t>(config_.max_batches_per_step,
+                                  channel1_.depth());
+  if (join_view) drain = std::min(drain, channel2_.depth());
+
+  // Validate before commit: every frame the step will drain is decoded and
+  // checked while still queued. A malformed peer must surface as a Status,
+  // never abort the server, and a rejected step must leave the engine
+  // exactly as it was (clock, ground truth, channels), so every later Step
+  // returns the same Status instead of tripping Transform's store CHECKs.
+  auto decode = [](const std::vector<uint8_t>& raw) -> Result<UploadFrame> {
+    INCSHRINK_ASSIGN_OR_RETURN(UploadFrame f, DecodeUploadFrame(raw));
+    // Validate the decoded width before AppendAll's internal CHECK sees it.
+    if (f.batch.width() != kSrcWidth) {
       return Status::InvalidArgument("upload frame has wrong row width");
     }
+    return f;
+  };
+  std::vector<UploadFrame> frames1;
+  std::vector<UploadFrame> frames2;
+  frames1.reserve(drain);
+  if (join_view) frames2.reserve(drain);
+  for (size_t i = 0; i < drain; ++i) {
+    INCSHRINK_ASSIGN_OR_RETURN(UploadFrame f1, decode(channel1_.Peek(i)));
+    if (join_view) {
+      INCSHRINK_ASSIGN_OR_RETURN(UploadFrame f2, decode(channel2_.Peek(i)));
+      // A hostile or buggy peer can desynchronize the two owner streams;
+      // the transport's per-connection sequence stamps catch most of this
+      // earlier, but the engine is the last line of defense.
+      if (f1.owner_step != f2.owner_step) {
+        return Status::InvalidArgument(
+            "paired upload frames disagree on owner step");
+      }
+      frames2.push_back(std::move(f2));
+    }
+    frames1.push_back(std::move(f1));
+  }
+
+  // Commit: pop the validated frames, replay ground truth and merge.
+  ++t_;
+  StepMetrics& m = p.m;
+  m.t = t_;
+  SharedRows merged1(kSrcWidth);
+  SharedRows merged2(kSrcWidth);
+  std::vector<uint8_t> popped;
+  for (size_t i = 0; i < drain; ++i) {
+    INCSHRINK_CHECK(channel1_.TryPop(&popped));
     // Ground truth over the logical growing database, replayed from the
     // frames' evaluation-only arrival sections in owner-step order. Under
     // an owner lead the truth counter advances only as frames are drained:
     // the engine's notion of q_t(D_t) is the synchronized prefix.
     if (join_view) {
-      std::vector<uint8_t> raw2;
-      INCSHRINK_CHECK(channel2_.TryPop(&raw2));
-      INCSHRINK_ASSIGN_OR_RETURN(const UploadFrame f2,
-                                 DecodeUploadFrame(raw2));
-      if (f2.batch.width() != kSrcWidth) {
-        return Status::InvalidArgument("upload frame has wrong row width");
-      }
-      // A hostile or buggy peer can desynchronize the two owner streams;
-      // over a real wire that must surface as a Status, never abort the
-      // server (the transport's per-connection sequence stamps catch most
-      // of this earlier, but the engine is the last line of defense).
-      if (f1.owner_step != f2.owner_step) {
-        return Status::InvalidArgument(
-            "paired upload frames disagree on owner step");
-      }
-      truth_.Step(f1.arrivals, f2.arrivals);
-      merged2.AppendAll(f2.batch);
+      INCSHRINK_CHECK(channel2_.TryPop(&popped));
+      truth_.Step(frames1[i].arrivals, frames2[i].arrivals);
+      merged2.AppendAll(frames2[i].batch);
       ++frames_drained_;
     } else {
-      for (const LogicalRecord& rec : f1.arrivals) {
+      for (const LogicalRecord& rec : frames1[i].arrivals) {
         if (rec.payload >= config_.filter.lo &&
             rec.payload <= config_.filter.hi)
           ++filter_truth_;
       }
     }
-    merged1.AppendAll(f1.batch);
+    merged1.AppendAll(frames1[i].batch);
     ++frames_drained_;
   }
   m.true_count = join_view ? truth_.count() : filter_truth_;
@@ -606,21 +676,26 @@ Engine::AdHocResult Engine::AnswerAdHocQuery(const AnalystQuery& query) {
                           RewriteToViewPredicate(query));
   result.answer = proto_.Reveal(count);
   result.query_seconds = proto_.SimulatedSecondsSince(before);
+  return result;
+}
 
+uint64_t Engine::AdHocTruth(const AnalystQuery& query) const {
+  INCSHRINK_CHECK(config_.view_kind == ViewKind::kWindowJoin);
+  uint64_t truth = 0;
   for (const WindowJoinCounter::MatchedPair& pair : truth_.pairs()) {
     switch (query.kind) {
       case AnalystQuery::Kind::kCountAll:
-        ++result.truth;
+        ++truth;
         break;
       case AnalystQuery::Kind::kCountDateRange:
-        if (pair.date2 >= query.lo && pair.date2 <= query.hi) ++result.truth;
+        if (pair.date2 >= query.lo && pair.date2 <= query.hi) ++truth;
         break;
       case AnalystQuery::Kind::kCountKeyEquals:
-        if (pair.key == query.key) ++result.truth;
+        if (pair.key == query.key) ++truth;
         break;
     }
   }
-  return result;
+  return truth;
 }
 
 Result<std::vector<uint8_t>> Engine::SaveCheckpoint() {
@@ -780,10 +855,16 @@ Status Engine::RestoreCheckpoint(const std::vector<uint8_t>& snapshot) {
   r.EndSection();
   INCSHRINK_RETURN_NOT_OK(r.ExpectOk("privacy ledger"));
 
-  std::vector<SharedRows> batches1;
-  std::vector<SharedRows> batches2;
-  INCSHRINK_RETURN_NOT_OK(LoadStore(&r, kTagStore1, kSrcWidth, &batches1));
-  INCSHRINK_RETURN_NOT_OK(LoadStore(&r, kTagStore2, kSrcWidth, &batches2));
+  // Every store holds exactly the batches at or above the restored clock's
+  // retention floor; filter views never upload T2, so store 2 stays empty.
+  const bool join_view = config_.view_kind != ViewKind::kFilter;
+  const uint64_t steps2 = join_view ? t : 0;
+  const uint64_t floor = TransformProtocol::RetainFrom(config_, t);
+  StoreSnapshot store1;
+  StoreSnapshot store2;
+  INCSHRINK_RETURN_NOT_OK(LoadStore(&r, kTagStore1, t, floor, &store1));
+  INCSHRINK_RETURN_NOT_OK(LoadStore(&r, kTagStore2, steps2,
+                                    std::min(floor, steps2), &store2));
 
   r.BeginSection(kTagCache);
   const uint64_t cache_seq = r.U64();
@@ -913,6 +994,11 @@ Status Engine::RestoreCheckpoint(const std::vector<uint8_t>& snapshot) {
   }
   r.EndSection();
   INCSHRINK_RETURN_NOT_OK(r.ExpectOk("engine logs"));
+  if (up1_log.size() != t || up2_log.size() != t ||
+      !StoreMatchesLog(store1, up1_log) || !StoreMatchesLog(store2, up2_log)) {
+    return Status::InvalidArgument(
+        "snapshot stores disagree with the logged upload sizes");
+  }
 
   UploadChannel ch1(config_.upload_channel_capacity);
   UploadChannel ch2(config_.upload_channel_capacity);
@@ -923,11 +1009,14 @@ Status Engine::RestoreCheckpoint(const std::vector<uint8_t>& snapshot) {
 
   // Commit phase. The ledger restore validates its own invariants and is
   // atomic, so it goes first; everything after it cannot fail (store widths
-  // were validated above, the rest are plain assignments). No step below
-  // draws randomness — restored cursors resume the exact party streams.
+  // and row totals were validated above, the rest are plain assignments).
+  // No step below draws randomness — restored cursors resume the exact
+  // party streams.
   INCSHRINK_RETURN_NOT_OK(accountant_.RestoreLedger(ledger));
-  INCSHRINK_RETURN_NOT_OK(store1_.RestoreBatches(std::move(batches1)));
-  INCSHRINK_RETURN_NOT_OK(store2_.RestoreBatches(std::move(batches2)));
+  INCSHRINK_RETURN_NOT_OK(store1_.Restore(
+      store1.first_retained, store1.total_rows, std::move(store1.batches)));
+  INCSHRINK_RETURN_NOT_OK(store2_.Restore(
+      store2.first_retained, store2.total_rows, std::move(store2.batches)));
   s0_.rng()->RestoreState(rng0);
   s1_.rng()->RestoreState(rng1);
   proto_.internal_rng()->RestoreState(proto_rng);

@@ -158,7 +158,6 @@ class Engine {
   /// Result of an ad-hoc analyst query answered from the view.
   struct AdHocResult {
     uint64_t answer = 0;         ///< q~(V_t): the server's response
-    uint64_t truth = 0;          ///< q(D_t): exact logical answer
     double query_seconds = 0;    ///< simulated QET
   };
 
@@ -168,8 +167,13 @@ class Engine {
   /// queries is answerable from the view with small error.
   AdHocResult AnswerAdHocQuery(const AnalystQuery& query);
 
+  /// q(D_t): the exact logical answer to an ad-hoc query, scanned from the
+  /// evaluation-only ground-truth counter (join views only). Kept off the
+  /// serving path: AnswerAdHocQuery never pays for this scan.
+  uint64_t AdHocTruth(const AnalystQuery& query) const;
+
   // ------------------------------------------------------------------
-  // Crash-safe checkpoint/restore (ICKP v1, src/storage/checkpoint.h).
+  // Crash-safe checkpoint/restore (ICKP v2, src/storage/checkpoint.h).
   // ------------------------------------------------------------------
 
   /// Serializes the engine's full resumable state — clocks, RNG cursors,

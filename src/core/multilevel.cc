@@ -171,6 +171,13 @@ Status MultiLevelPipeline::Step(const std::vector<LogicalRecord>& new1,
   m.synced = sync2.fired;
   m.sync_rows = sync2.sync_rows;
 
+  // Both Transforms have run: evict every batch no future invocation of
+  // the stage reading the store can reach.
+  store_t1_.EvictBefore(TransformProtocol::RetainFrom(stage1_cfg_, t_));
+  const uint64_t floor2 = TransformProtocol::RetainFrom(stage2_cfg_, t_);
+  store_v1_.EvictBefore(floor2);
+  store_t2_.EvictBefore(floor2);
+
   // ---- Analyst query over V2.
   const CircuitStats before_q = proto_.Snapshot();
   const WordShares count = ObliviousCountWhere(

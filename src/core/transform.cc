@@ -23,6 +23,14 @@ uint32_t TransformProtocol::EligibleSteps(const IncShrinkConfig& config) {
   return std::min(config.window_steps, budget_steps - 1);
 }
 
+uint64_t TransformProtocol::RetainFrom(const IncShrinkConfig& config,
+                                      uint64_t t) {
+  if (config.strategy == Strategy::kNm) return 0;
+  if (config.view_kind == ViewKind::kFilter) return t;
+  const uint64_t eligible = EligibleSteps(config);
+  return t > eligible ? t - eligible : 0;
+}
+
 uint64_t TransformProtocol::PublicCacheAppendRows(
     const IncShrinkConfig& config, uint64_t t) {
   if (config.view_kind == ViewKind::kFilter) {

@@ -72,6 +72,15 @@ class TransformProtocol {
   /// min(window_steps, b/omega - 1).
   static uint32_t EligibleSteps(const IncShrinkConfig& config);
 
+  /// Retention floor of the outsourced stores after step `t` (1-based):
+  /// the first upload step a future invocation can still read. Join views
+  /// read batch(t) and the EligibleSteps batches before it at step t+1, so
+  /// the floor is t - EligibleSteps (saturating at 0); selection views read
+  /// only batch(t), so it is t. NM re-reads all of DS (ConcatAll) and keeps
+  /// every batch: its floor is 0. A function of the public clock and config
+  /// only, so eviction leaks nothing.
+  static uint64_t RetainFrom(const IncShrinkConfig& config, uint64_t t);
+
   /// Public number of rows one invocation appends to the cache at step t
   /// (the exhaustive-padding bound on new view entries). Used by the
   /// transcript simulator.

@@ -52,4 +52,9 @@ bool UploadChannel::TryPop(std::vector<uint8_t>* frame) {
   return true;
 }
 
+const std::vector<uint8_t>& UploadChannel::Peek(size_t i) const {
+  INCSHRINK_CHECK_LT(i, queue_.size());
+  return queue_[i];
+}
+
 }  // namespace incshrink

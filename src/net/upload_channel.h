@@ -42,6 +42,11 @@ class UploadChannel {
   /// Dequeues the oldest frame into *frame. Returns false when empty.
   bool TryPop(std::vector<uint8_t>* frame);
 
+  /// The i-th queued frame (0 = oldest), left in place. Lets a consumer
+  /// validate every frame it is about to drain before popping any of them.
+  /// Requires i < depth().
+  const std::vector<uint8_t>& Peek(size_t i) const;
+
   /// Records a public backpressure event observed by a sender that checked
   /// capacity *before* constructing its frame (frame construction has side
   /// effects — RNG draws, queue mutation — so owners probe first). Counts

@@ -189,14 +189,17 @@ JoinResult TruncatedNestedLoopJoin(Protocol2PC* proto, SharedRows* t1,
   // make the simulated transcript data-dependent.
   proto->AccountAndGates(n1 * n2 * (7 + kViewWidth) * kWordBits);
 
+  // Row scratch sized once; each pair re-reads its rows into it.
+  std::vector<Word> outer_buf(t1->width());
+  std::vector<Word> inner_buf(t2->width());
   for (size_t i = 0; i < n1; ++i) {
-    std::vector<Word> outer = t1->RecoverRow(i);
+    const std::span<const Word> outer = t1->RecoverRowInto(i, outer_buf);
+    Word outer_budget = outer[budget_col1];
     SharedRows block(kViewWidth);  // o_i in Algorithm 4
     uint64_t block_seq = 0;        // temporary in-block ordering
     for (size_t j = 0; j < n2; ++j) {
-      std::vector<Word> inner = t2->RecoverRow(j);
-      const bool budgets_ok =
-          outer[budget_col1] > 0 && inner[budget_col2] > 0;
+      const std::span<const Word> inner = t2->RecoverRowInto(j, inner_buf);
+      const bool budgets_ok = outer_budget > 0 && inner[budget_col2] > 0;
       const bool match = budgets_ok && (outer[kSrcValidCol] & 1) &&
                          (inner[kSrcValidCol] & 1) &&
                          outer[kSrcKeyCol] == inner[kSrcKeyCol] &&
@@ -211,15 +214,14 @@ JoinResult TruncatedNestedLoopJoin(Protocol2PC* proto, SharedRows* t1,
                     outer[kSrcRidCol], inner[kSrcRidCol], &block_seq);
         // consume_budget(tup1, tup2, 1): decrement and re-share in place
         // (circuit cost charged per pair above, match or not).
-        --outer[budget_col1];
-        --inner[budget_col2];
-        const WordShares fresh = ShareWord(inner[budget_col2], rng);
+        --outer_budget;
+        const WordShares fresh = ShareWord(inner[budget_col2] - 1, rng);
         proto->SetRowWord(t2, j, budget_col2, fresh);
       } else {
         EmitViewRow(proto, &block, false, 0, 0, 0, 0, 0, &block_seq);
       }
     }
-    const WordShares fresh_outer = ShareWord(outer[budget_col1], rng);
+    const WordShares fresh_outer = ShareWord(outer_budget, rng);
     proto->SetRowWord(t1, i, budget_col1, fresh_outer);
 
     // Alg. 4 lines 12-13: oblivious sort of o_i (real rows first), keep the

@@ -1,6 +1,7 @@
 #include "src/storage/outsourced_store.h"
 
 #include <algorithm>
+#include <cstddef>
 
 #include "src/common/logging.h"
 
@@ -10,35 +11,56 @@ uint64_t OutsourcedTable::AppendBatch(SharedRows batch) {
   INCSHRINK_CHECK_EQ(batch.width(), width_);
   total_rows_ += batch.size();
   batches_.push_back(std::move(batch));
-  return batches_.size() - 1;
+  return steps() - 1;
+}
+
+const SharedRows& OutsourcedTable::batch(uint64_t step) const {
+  INCSHRINK_CHECK_GE(step, first_retained_);
+  INCSHRINK_CHECK_LT(step, steps());
+  return batches_[step - first_retained_];
 }
 
 SharedRows OutsourcedTable::ConcatRange(uint64_t from, uint64_t to) const {
   SharedRows out(width_);
-  if (batches_.empty()) return out;
-  to = std::min<uint64_t>(to, batches_.size() - 1);
-  for (uint64_t s = from; s <= to && s < batches_.size(); ++s) {
-    out.AppendAll(batches_[s]);
-  }
+  if (steps() == 0) return out;
+  to = std::min<uint64_t>(to, steps() - 1);
+  if (from > to) return out;
+  for (uint64_t s = from; s <= to; ++s) out.AppendAll(batch(s));
   return out;
 }
 
 SharedRows OutsourcedTable::ConcatAll() const {
+  INCSHRINK_CHECK_EQ(first_retained_, 0u);
   if (batches_.empty()) return SharedRows(width_);
-  return ConcatRange(0, batches_.size() - 1);
+  return ConcatRange(0, steps() - 1);
 }
 
-Status OutsourcedTable::RestoreBatches(std::vector<SharedRows> batches) {
-  uint64_t total = 0;
+void OutsourcedTable::EvictBefore(uint64_t step) {
+  INCSHRINK_CHECK_LE(step, steps());
+  if (step <= first_retained_) return;
+  batches_.erase(batches_.begin(),
+                 batches_.begin() + static_cast<std::ptrdiff_t>(
+                                        step - first_retained_));
+  first_retained_ = step;
+}
+
+Status OutsourcedTable::Restore(uint64_t first_retained, uint64_t total_rows,
+                                std::vector<SharedRows> batches) {
+  uint64_t held = 0;
   for (const SharedRows& batch : batches) {
     if (batch.width() != width_) {
       return Status::InvalidArgument(
           "snapshot store batch width disagrees with the table width");
     }
-    total += batch.size();
+    held += batch.size();
+  }
+  if (total_rows < held) {
+    return Status::InvalidArgument(
+        "snapshot store total_rows is below its held rows");
   }
   batches_ = std::move(batches);
-  total_rows_ = total;
+  first_retained_ = first_retained;
+  total_rows_ = total_rows;
   return Status::OK();
 }
 

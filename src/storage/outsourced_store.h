@@ -15,40 +15,62 @@ namespace incshrink {
 /// The per-step batch sizes are public (the owner uploads a fixed-size block
 /// at predetermined intervals — paper Section 2.3), so exposing batches by
 /// step index leaks nothing beyond the public update policy.
+///
+/// Retention: a truncated Transform reads a record for at most
+/// EligibleSteps invocations, so the engine evicts every batch below a
+/// public floor (TransformProtocol::RetainFrom) after each step. Only the
+/// steps [first_retained(), steps()) are held; `steps()` and `total_rows()`
+/// stay lifetime counters.
 class OutsourcedTable {
  public:
   explicit OutsourcedTable(size_t row_width) : width_(row_width) {}
 
   size_t width() const { return width_; }
 
-  /// Number of upload steps recorded so far.
-  uint64_t steps() const { return batches_.size(); }
+  /// Number of upload steps recorded so far (evicted ones included).
+  uint64_t steps() const { return first_retained_ + batches_.size(); }
 
-  /// Total shared rows across all batches (real + padding).
+  /// Total shared rows ever appended (real + padding, evicted included).
   uint64_t total_rows() const { return total_rows_; }
+
+  /// First step still held; every step below it has been evicted.
+  uint64_t first_retained() const { return first_retained_; }
 
   /// Appends the batch uploaded at the next step. Returns its step index.
   uint64_t AppendBatch(SharedRows batch);
 
-  /// The batch uploaded at `step` (0-based).
-  const SharedRows& batch(uint64_t step) const { return batches_[step]; }
+  /// The batch uploaded at `step` (0-based). CHECK-fails on an evicted or
+  /// not-yet-uploaded step.
+  const SharedRows& batch(uint64_t step) const;
 
   /// Concatenates the batches of steps [from, to] (inclusive, clamped) —
   /// the sliding-window input to Transform. Returns an empty table when the
-  /// range is empty.
+  /// range is empty; CHECK-fails when a non-empty range reaches below
+  /// first_retained().
   SharedRows ConcatRange(uint64_t from, uint64_t to) const;
 
-  /// Concatenates every batch (the full DS, used by the NM baseline).
+  /// Concatenates every batch (the full DS, used by the NM baseline, whose
+  /// floor is 0). CHECK-fails once anything was evicted.
   SharedRows ConcatAll() const;
 
-  /// Checkpoint-restore path: replaces all batches wholesale, recomputing
-  /// the row total. Rejects any batch whose width disagrees with this
-  /// table's width (hostile snapshots must fail closed, not corrupt DS).
-  Status RestoreBatches(std::vector<SharedRows> batches);
+  /// Drops every batch below `step` (a no-op when `step` is at or below
+  /// first_retained()). `step` may not exceed steps().
+  void EvictBefore(uint64_t step);
+
+  /// Checkpoint-restore path: replaces the held batches and the lifetime
+  /// counters wholesale. Rejects any batch whose width disagrees with this
+  /// table's width and a `total_rows` below the held rows (hostile
+  /// snapshots must fail closed, not corrupt DS).
+  Status Restore(uint64_t first_retained, uint64_t total_rows,
+                 std::vector<SharedRows> batches);
 
  private:
   size_t width_;
+  /// Steps [first_retained_, steps()). A vector, not a deque: eviction
+  /// shifts at most EligibleSteps + 1 held batches per step, and an empty
+  /// vector costs the engine constructor no allocation.
   std::vector<SharedRows> batches_;
+  uint64_t first_retained_ = 0;
   uint64_t total_rows_ = 0;
 };
 

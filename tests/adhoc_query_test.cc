@@ -38,7 +38,7 @@ TEST(AdHocQueryTest, EmptyViewAnswersZeroBeforeAnyStep) {
   Engine& engine = deployment.engine();
   const Engine::AdHocResult r = engine.AnswerAdHocQuery(AnalystQuery::CountAll());
   EXPECT_EQ(r.answer, 0u);
-  EXPECT_EQ(r.truth, 0u);
+  EXPECT_EQ(engine.AdHocTruth(AnalystQuery::CountAll()), 0u);
   EXPECT_GE(r.query_seconds, 0.0);
 }
 
@@ -55,7 +55,8 @@ TEST(AdHocQueryTest, EmptyViewAnswersZeroWhileTruthGrows) {
   ASSERT_EQ(engine.view().size(), 0u);
   const Engine::AdHocResult r = engine.AnswerAdHocQuery(AnalystQuery::CountAll());
   EXPECT_EQ(r.answer, 0u);
-  EXPECT_EQ(r.truth, w.total_view_entries);
+  EXPECT_EQ(engine.AdHocTruth(AnalystQuery::CountAll()),
+            w.total_view_entries);
 }
 
 TEST(AdHocQueryTest, OutOfWindowDateRangeAnswersExactZero) {
@@ -67,10 +68,9 @@ TEST(AdHocQueryTest, OutOfWindowDateRangeAnswersExactZero) {
   ASSERT_TRUE(deployment.Run(w.t1, w.t2).ok());
   Engine& engine = deployment.engine();
   ASSERT_GT(engine.view().size(), 0u);
-  const Engine::AdHocResult r = engine.AnswerAdHocQuery(
-      AnalystQuery::CountDateRange(1u << 20, 1u << 21));
-  EXPECT_EQ(r.answer, 0u);
-  EXPECT_EQ(r.truth, 0u);
+  const AnalystQuery far = AnalystQuery::CountDateRange(1u << 20, 1u << 21);
+  EXPECT_EQ(engine.AnswerAdHocQuery(far).answer, 0u);
+  EXPECT_EQ(engine.AdHocTruth(far), 0u);
 }
 
 TEST(AdHocQueryTest, CountAllMatchesStandingQueryAnswer) {
@@ -82,7 +82,7 @@ TEST(AdHocQueryTest, CountAllMatchesStandingQueryAnswer) {
   // Same view, same oblivious count: must agree with the last step's
   // standing COUNT(*) answer and with the exact stream truth.
   EXPECT_EQ(all.answer, engine.step_metrics().back().view_answer);
-  EXPECT_EQ(all.truth, w.total_view_entries);
+  EXPECT_EQ(engine.AdHocTruth(AnalystQuery::CountAll()), w.total_view_entries);
 }
 
 TEST(AdHocQueryTest, DateRangePartitionIsExact) {
@@ -93,14 +93,15 @@ TEST(AdHocQueryTest, DateRangePartitionIsExact) {
   ASSERT_TRUE(deployment.Run(w.t1, w.t2).ok());
   Engine& engine = deployment.engine();
   const Word mid = 20;
-  const Engine::AdHocResult all = engine.AnswerAdHocQuery(AnalystQuery::CountAll());
-  const Engine::AdHocResult lo =
-      engine.AnswerAdHocQuery(AnalystQuery::CountDateRange(0, mid));
-  const Engine::AdHocResult hi =
-      engine.AnswerAdHocQuery(AnalystQuery::CountDateRange(mid + 1, 0xFFFFFFFFu));
-  EXPECT_EQ(lo.answer + hi.answer, all.answer);
-  EXPECT_EQ(lo.truth + hi.truth, all.truth);
-  EXPECT_GT(all.truth, 0u);
+  const AnalystQuery q_all = AnalystQuery::CountAll();
+  const AnalystQuery q_lo = AnalystQuery::CountDateRange(0, mid);
+  const AnalystQuery q_hi = AnalystQuery::CountDateRange(mid + 1, 0xFFFFFFFFu);
+  EXPECT_EQ(engine.AnswerAdHocQuery(q_lo).answer +
+                engine.AnswerAdHocQuery(q_hi).answer,
+            engine.AnswerAdHocQuery(q_all).answer);
+  EXPECT_EQ(engine.AdHocTruth(q_lo) + engine.AdHocTruth(q_hi),
+            engine.AdHocTruth(q_all));
+  EXPECT_GT(engine.AdHocTruth(q_all), 0u);
 }
 
 TEST(AdHocQueryTest, KeyEqualsRestrictionsAreConsistent) {
@@ -113,17 +114,16 @@ TEST(AdHocQueryTest, KeyEqualsRestrictionsAreConsistent) {
   // 1, and an absent key answers exactly 0.
   uint64_t matched = 0;
   for (Word key = 1; key <= 30; ++key) {
-    const Engine::AdHocResult r =
-        engine.AnswerAdHocQuery(AnalystQuery::CountKeyEquals(key));
+    const AnalystQuery q = AnalystQuery::CountKeyEquals(key);
+    const Engine::AdHocResult r = engine.AnswerAdHocQuery(q);
     EXPECT_LE(r.answer, 1u);
-    EXPECT_LE(r.truth, 1u);
+    EXPECT_LE(engine.AdHocTruth(q), 1u);
     matched += r.answer;
   }
   EXPECT_LE(matched, all.answer);
-  const Engine::AdHocResult absent =
-      engine.AnswerAdHocQuery(AnalystQuery::CountKeyEquals(0x7FFFFFF0u));
-  EXPECT_EQ(absent.answer, 0u);
-  EXPECT_EQ(absent.truth, 0u);
+  const AnalystQuery q_absent = AnalystQuery::CountKeyEquals(0x7FFFFFF0u);
+  EXPECT_EQ(engine.AnswerAdHocQuery(q_absent).answer, 0u);
+  EXPECT_EQ(engine.AdHocTruth(q_absent), 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -73,22 +73,23 @@ TEST_F(AdHocQueryTest, EpAnswersAdHocExactly) {
   ASSERT_TRUE(deployment.Run(workload_.t1, workload_.t2).ok());
   Engine& engine = deployment.engine();
 
-  const auto all = engine.AnswerAdHocQuery(AnalystQuery::CountAll());
-  EXPECT_EQ(all.answer, all.truth);
-  EXPECT_GT(all.truth, 100u);
+  const AnalystQuery q_all = AnalystQuery::CountAll();
+  const uint64_t all_truth = engine.AdHocTruth(q_all);
+  EXPECT_EQ(engine.AnswerAdHocQuery(q_all).answer, all_truth);
+  EXPECT_GT(all_truth, 100u);
 
   // Date-range restriction: returns recorded in the first half of the run.
-  const auto range =
-      engine.AnswerAdHocQuery(AnalystQuery::CountDateRange(0, 50));
-  EXPECT_EQ(range.answer, range.truth);
-  EXPECT_LT(range.truth, all.truth);
-  EXPECT_GT(range.truth, 0u);
+  const AnalystQuery q_range = AnalystQuery::CountDateRange(0, 50);
+  const uint64_t range_truth = engine.AdHocTruth(q_range);
+  EXPECT_EQ(engine.AnswerAdHocQuery(q_range).answer, range_truth);
+  EXPECT_LT(range_truth, all_truth);
+  EXPECT_GT(range_truth, 0u);
 
   // An empty range must answer zero.
-  const auto empty = engine.AnswerAdHocQuery(
-      AnalystQuery::CountDateRange(4000000000u, 4000000001u));
-  EXPECT_EQ(empty.answer, 0u);
-  EXPECT_EQ(empty.truth, 0u);
+  const AnalystQuery q_empty =
+      AnalystQuery::CountDateRange(4000000000u, 4000000001u);
+  EXPECT_EQ(engine.AnswerAdHocQuery(q_empty).answer, 0u);
+  EXPECT_EQ(engine.AdHocTruth(q_empty), 0u);
 }
 
 TEST_F(AdHocQueryTest, KeyEqualsQueries) {
@@ -105,23 +106,24 @@ TEST_F(AdHocQueryTest, KeyEqualsQueries) {
     }
   }
   ASSERT_NE(key, 0u);
-  const auto by_key = engine.AnswerAdHocQuery(AnalystQuery::CountKeyEquals(key));
-  EXPECT_EQ(by_key.answer, by_key.truth);
-  EXPECT_EQ(by_key.truth, 1u);  // multiplicity-1 stream
+  const AnalystQuery q_key = AnalystQuery::CountKeyEquals(key);
+  EXPECT_EQ(engine.AnswerAdHocQuery(q_key).answer, engine.AdHocTruth(q_key));
+  EXPECT_EQ(engine.AdHocTruth(q_key), 1u);  // multiplicity-1 stream
 }
 
 TEST_F(AdHocQueryTest, DpViewAnswersWithBoundedError) {
   SynchronousDeployment deployment = MakeDeployment(Strategy::kDpTimer);
   ASSERT_TRUE(deployment.Run(workload_.t1, workload_.t2).ok());
   Engine& engine = deployment.engine();
-  const auto all = engine.AnswerAdHocQuery(AnalystQuery::CountAll());
+  const AnalystQuery q_all = AnalystQuery::CountAll();
+  const uint64_t all_answer = engine.AnswerAdHocQuery(q_all).answer;
   // Deferred data only: the view answer must undershoot by a bounded amount
   // and never exceed the truth.
-  EXPECT_LE(all.answer, all.truth);
-  EXPECT_GT(all.answer, all.truth / 2);
-  const auto range =
-      engine.AnswerAdHocQuery(AnalystQuery::CountDateRange(0, 60));
-  EXPECT_LE(range.answer, range.truth);
+  EXPECT_LE(all_answer, engine.AdHocTruth(q_all));
+  EXPECT_GT(all_answer, engine.AdHocTruth(q_all) / 2);
+  const AnalystQuery q_range = AnalystQuery::CountDateRange(0, 60);
+  EXPECT_LE(engine.AnswerAdHocQuery(q_range).answer,
+            engine.AdHocTruth(q_range));
 }
 
 TEST_F(AdHocQueryTest, AdHocQueriesChargeQet) {

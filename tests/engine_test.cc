@@ -198,6 +198,125 @@ TEST(EngineTest, PublicT2UploadsUnpadded) {
   EXPECT_EQ(deployment.engine().store2().batch(1).size(), 0u);
 }
 
+TEST(EngineTest, MalformedFrameRejectsTheStepWithoutChangingState) {
+  IncShrinkConfig cfg = MiniConfig(Strategy::kDpTimer);
+  const MiniStream s = MakeMiniStream(6, 2, 2);
+  SynchronousDeployment deployment(cfg);
+  for (size_t t = 0; t < 3; ++t) {
+    ASSERT_TRUE(deployment.Step(s.t1[t], s.t2[t]).ok());
+  }
+  Engine& engine = deployment.engine();
+  ASSERT_TRUE(engine.channel1()->TryPush({1, 2, 3, 4}));
+  ASSERT_TRUE(engine.channel2()->TryPush({5, 6, 7, 8}));
+  const Result<std::vector<uint8_t>> before = engine.SaveCheckpoint();
+  ASSERT_TRUE(before.ok());
+
+  const Status first = engine.Step();
+  EXPECT_EQ(first.code(), StatusCode::kInvalidArgument);
+  const Result<std::vector<uint8_t>> after = engine.SaveCheckpoint();
+  ASSERT_TRUE(after.ok());
+  EXPECT_EQ(*before, *after) << "a rejected step changed engine state";
+  EXPECT_EQ(engine.current_step(), 3u);
+  EXPECT_EQ(engine.store1().steps(), 3u);
+
+  // The poisoned frame stays queued: every later step reports the same
+  // Status instead of aborting on a clock/store mismatch.
+  for (int i = 0; i < 3; ++i) {
+    const Status again = engine.Step();
+    EXPECT_EQ(again.code(), first.code());
+    EXPECT_EQ(again.ToString(), first.ToString());
+  }
+  EXPECT_EQ(engine.current_step(), 3u);
+}
+
+TEST(EngineTest, UnpairedMalformedFrameNeverAbortsTheServer) {
+  // A malformed T1 frame waits for its T2 partner (an empty step), then the
+  // owners' next pair makes every later step reject without aborting.
+  const MiniStream s = MakeMiniStream(8, 2, 2);
+  SynchronousDeployment deployment(MiniConfig(Strategy::kDpTimer));
+  for (size_t t = 0; t < 3; ++t) {
+    ASSERT_TRUE(deployment.Step(s.t1[t], s.t2[t]).ok());
+  }
+  Engine& engine = deployment.engine();
+  ASSERT_TRUE(engine.channel1()->TryPush({1, 2, 3, 4}));
+  ASSERT_TRUE(engine.Step().ok());
+  EXPECT_EQ(engine.current_step(), 4u);
+  for (size_t t = 3; t < 6; ++t) {
+    EXPECT_EQ(deployment.Step(s.t1[t], s.t2[t]).code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(engine.current_step(), 4u);
+    EXPECT_EQ(engine.store1().steps(), 4u);
+  }
+}
+
+// Retention: after every step each store holds exactly the batches at or
+// above TransformProtocol::RetainFrom(t) — at most EligibleSteps + 1 — for
+// every strategy that maintains a view; NM keeps all of DS.
+struct RetentionCase {
+  Strategy strategy;
+  ViewKind view_kind;
+  uint32_t shards;
+};
+
+class RetentionTest : public ::testing::TestWithParam<RetentionCase> {};
+
+TEST_P(RetentionTest, StoresHoldOnlyTheReadableWindow) {
+  const RetentionCase& c = GetParam();
+  IncShrinkConfig cfg = MiniConfig(c.strategy);
+  cfg.view_kind = c.view_kind;
+  cfg.filter = FilterSpec{2, 20};
+  cfg.num_cache_shards = c.shards;
+  const bool join_view = c.view_kind == ViewKind::kWindowJoin;
+  const uint64_t eligible = TransformProtocol::EligibleSteps(cfg);
+  const MiniStream s = MakeMiniStream(24, 2, 2);
+  SynchronousDeployment deployment(cfg);
+  const Engine& engine = deployment.engine();
+  for (uint64_t t = 1; t <= s.t1.size(); ++t) {
+    ASSERT_TRUE(deployment.Step(s.t1[t - 1], s.t2[t - 1]).ok());
+    const uint64_t floor = TransformProtocol::RetainFrom(engine.config(), t);
+    const OutsourcedTable& store1 = engine.store1();
+    EXPECT_EQ(store1.steps(), t);
+    EXPECT_EQ(store1.first_retained(), floor) << "step " << t;
+    if (c.strategy == Strategy::kNm) {
+      EXPECT_EQ(floor, 0u);  // NM re-reads all of DS every step
+    } else {
+      EXPECT_EQ(floor, join_view ? (t > eligible ? t - eligible : 0) : t);
+      EXPECT_LE(store1.steps() - store1.first_retained(), eligible + 1);
+    }
+    const OutsourcedTable& store2 = engine.store2();
+    EXPECT_EQ(store2.steps(), join_view ? t : 0u);
+    EXPECT_EQ(store2.first_retained(), join_view ? floor : 0u);
+  }
+  // Eviction never changes the lifetime counters.
+  EXPECT_EQ(engine.store1().total_rows(), s.t1.size() * cfg.upload_rows_t1);
+}
+
+std::vector<RetentionCase> AllRetentionCases() {
+  std::vector<RetentionCase> cases;
+  for (Strategy strategy : {Strategy::kDpTimer, Strategy::kDpAnt,
+                            Strategy::kEp, Strategy::kOtm, Strategy::kNm}) {
+    for (ViewKind view : {ViewKind::kWindowJoin, ViewKind::kFilter}) {
+      for (uint32_t shards : {1u, 4u}) {
+        cases.push_back(RetentionCase{strategy, view, shards});
+      }
+    }
+  }
+  return cases;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    StrategiesViewsShards, RetentionTest,
+    ::testing::ValuesIn(AllRetentionCases()),
+    [](const ::testing::TestParamInfo<RetentionCase>& p) {
+      std::string name = StrategyName(p.param.strategy);
+      name += p.param.view_kind == ViewKind::kFilter ? "_filter" : "_join";
+      name += "_shards" + std::to_string(p.param.shards);
+      for (char& ch : name) {
+        if (ch == '-') ch = '_';
+      }
+      return name;
+    });
+
 TEST(EngineTest, InvalidConfigRejected) {
   IncShrinkConfig cfg = MiniConfig(Strategy::kDpTimer);
   cfg.omega = 5;  // != join.omega

@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "src/common/logging.h"
@@ -56,6 +57,15 @@ void PutU64(std::vector<uint8_t>* bytes, size_t offset, uint64_t value) {
   for (int i = 0; i < 8; ++i) {
     (*bytes)[offset + i] = static_cast<uint8_t>(value >> (8 * i));
   }
+}
+
+/// Reads the little-endian u64 at `offset`.
+uint64_t GetU64(const std::vector<uint8_t>& bytes, size_t offset) {
+  uint64_t value = 0;
+  for (int i = 0; i < 8; ++i) {
+    value |= static_cast<uint64_t>(bytes[offset + i]) << (8 * i);
+  }
+  return value;
 }
 
 /// The hostile dimension values every header sweep draws from: the wrap
@@ -399,9 +409,10 @@ TEST(FrameAssemblerFuzzTest, MutatedStreamsInRandomChunksNeverCrash) {
 // ---------------------------------------------------------------------------
 
 /// A realistic nested ICKP blob: a small engine run's full snapshot.
-std::vector<uint8_t> SampleEngineSnapshot(const IncShrinkConfig& cfg) {
+std::vector<uint8_t> SampleEngineSnapshot(const IncShrinkConfig& cfg,
+                                          uint64_t steps = 4) {
   TpcDsParams p;
-  p.steps = 4;
+  p.steps = steps;
   p.seed = 5;
   const GeneratedWorkload w = GenerateTpcDs(p);
   SynchronousDeployment d(cfg);
@@ -541,6 +552,83 @@ TEST(IckpFuzzTest, HostileHeadersBehindValidChecksumsAreContained) {
     r->EndSection();  // 8 bytes unread -> structural failure
     EXPECT_FALSE(r->ok());
   }
+}
+
+/// Offset of the payload of the top-level section `tag` in an ICKP blob
+/// (header: magic + version = 5 bytes; section: u32 tag | u64 len | body).
+size_t SectionPayloadOffset(const std::vector<uint8_t>& blob, uint32_t tag) {
+  size_t off = 5;
+  while (off + 12 <= blob.size() - 8) {
+    const uint32_t got = static_cast<uint32_t>(GetU64(blob, off));
+    if (got == tag) return off + 12;
+    off += 12 + GetU64(blob, off + 4);
+  }
+  ADD_FAILURE() << "section not found";
+  return 0;
+}
+
+TEST(IckpFuzzTest, HostileStoreFieldsBehindValidChecksumsAreRejected) {
+  // The v2 store section is first_retained | total_rows | count | batches.
+  // A forger who re-stamps the checksum still cannot make a restore hold a
+  // window other than the restored clock's retention floor, or a row total
+  // other than the logged upload sizes: every forgery bounces atomically.
+  const IncShrinkConfig cfg = SnapshotFuzzConfig();
+  const std::vector<uint8_t> blob = SampleEngineSnapshot(cfg, /*steps=*/12);
+  const uint64_t eligible = TransformProtocol::EligibleSteps(cfg);
+  ASSERT_LT(eligible, 12u) << "the sample must have evicted something";
+  const uint64_t floor = 12 - eligible;
+  Engine victim(cfg);
+  ASSERT_TRUE(victim.RestoreCheckpoint(blob).ok());
+
+  for (const uint32_t tag : {CheckpointTag('S', 'T', 'R', '1'),
+                             CheckpointTag('S', 'T', 'R', '2')}) {
+    const size_t at = SectionPayloadOffset(blob, tag);
+    ASSERT_EQ(GetU64(blob, at), floor);
+    const uint64_t total = GetU64(blob, at + 8);
+    ASSERT_EQ(GetU64(blob, at + 16), eligible);
+    struct Forgery {
+      size_t field;  ///< 0 first_retained, 8 total_rows, 16 batch count
+      uint64_t value;
+    };
+    const Forgery forgeries[] = {
+        {0, 13},             // first_retained > t
+        {0, 12},             // floor mismatch: nothing retained
+        {0, floor - 1},      // floor mismatch: one evicted step claimed
+        {0, floor + 1},      // floor mismatch: one readable step dropped
+        {0, 0},              // floor mismatch: the pre-retention layout
+        {0, UINT64_MAX},
+        {16, eligible - 1},  // wrong batch count
+        {16, eligible + 1},
+        {16, 0},
+        {16, UINT64_MAX},
+        {8, 0},              // total_rows below the retained rows
+        {8, total - 1},      // total_rows disagrees with the upload log
+        {8, total + 1},
+        {8, UINT64_MAX},
+    };
+    for (const Forgery& f : forgeries) {
+      std::vector<uint8_t> mutated = blob;
+      PutU64(&mutated, at + f.field, f.value);
+      FixupChecksum(&mutated);
+      EXPECT_FALSE(victim.RestoreCheckpoint(mutated).ok())
+          << "field +" << f.field << " = " << f.value;
+    }
+  }
+  // Every bounced forgery left the victim on the pristine state.
+  Result<std::vector<uint8_t>> again = victim.SaveCheckpoint();
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(blob, *again);
+
+  // A v1 header (the pre-retention layout) is rejected up front: there is
+  // no v1 decode path.
+  std::vector<uint8_t> v1 = blob;
+  v1[4] = 1;
+  FixupChecksum(&v1);
+  const Result<CheckpointReader> opened = CheckpointReader::Open(v1);
+  ASSERT_FALSE(opened.ok());
+  EXPECT_NE(opened.status().ToString().find("unsupported snapshot version"),
+            std::string::npos);
+  EXPECT_FALSE(victim.RestoreCheckpoint(v1).ok());
 }
 
 TEST(IckpFuzzTest, RandomGarbageNeverOpens) {

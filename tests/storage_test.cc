@@ -53,6 +53,52 @@ TEST(OutsourcedTableTest, EmptyRanges) {
   EXPECT_EQ(t.ConcatRange(0, 5).size(), 0u);
 }
 
+TEST(OutsourcedTableTest, EvictionKeepsLifetimeCountersAndStepIndices) {
+  Rng rng(3);
+  OutsourcedTable t(1);
+  for (Word s = 0; s < 5; ++s) t.AppendBatch(MakeBatch(&rng, 1, {s, s}));
+  t.EvictBefore(3);
+  EXPECT_EQ(t.first_retained(), 3u);
+  EXPECT_EQ(t.steps(), 5u);        // lifetime counter
+  EXPECT_EQ(t.total_rows(), 10u);  // lifetime counter
+  EXPECT_EQ(t.batch(3).RecoverAt(0, 0), 3u);
+  EXPECT_EQ(t.batch(4).RecoverAt(1, 0), 4u);
+  EXPECT_EQ(t.ConcatRange(3, 100).size(), 4u);
+  t.EvictBefore(1);  // below the floor: a no-op
+  EXPECT_EQ(t.first_retained(), 3u);
+  EXPECT_EQ(t.AppendBatch(MakeBatch(&rng, 1, {5})), 5u);
+  t.EvictBefore(6);  // everything
+  EXPECT_EQ(t.first_retained(), 6u);
+  EXPECT_EQ(t.steps(), 6u);
+  EXPECT_EQ(t.ConcatRange(6, 9).size(), 0u);
+}
+
+TEST(OutsourcedTableTest, RestoreRejectsTotalBelowHeldRows) {
+  Rng rng(4);
+  OutsourcedTable t(1);
+  std::vector<SharedRows> held;
+  held.push_back(MakeBatch(&rng, 1, {1, 2}));
+  EXPECT_FALSE(t.Restore(4, 1, held).ok());
+  EXPECT_EQ(t.steps(), 0u);
+  ASSERT_TRUE(t.Restore(4, 9, std::move(held)).ok());
+  EXPECT_EQ(t.first_retained(), 4u);
+  EXPECT_EQ(t.steps(), 5u);
+  EXPECT_EQ(t.total_rows(), 9u);
+  EXPECT_EQ(t.batch(4).size(), 2u);
+}
+
+TEST(OutsourcedTableDeathTest, ReadingAnEvictedStepFailsLoudly) {
+  Rng rng(5);
+  OutsourcedTable t(1);
+  for (Word s = 0; s < 4; ++s) t.AppendBatch(MakeBatch(&rng, 1, {s}));
+  t.EvictBefore(2);
+  EXPECT_DEATH((void)t.batch(1), "CHECK failed");
+  EXPECT_DEATH((void)t.ConcatRange(1, 3), "CHECK failed");
+  EXPECT_DEATH((void)t.ConcatAll(), "CHECK failed");
+  EXPECT_DEATH((void)t.batch(4), "CHECK failed");  // not uploaded yet
+  EXPECT_DEATH(t.EvictBefore(5), "CHECK failed");
+}
+
 class SecureCacheTest : public ::testing::Test {
  protected:
   SecureCacheTest()
