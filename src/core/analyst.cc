@@ -17,4 +17,18 @@ ObliviousPredicate RewriteToViewPredicate(const AnalystQuery& query) {
   return ObliviousPredicate::True();
 }
 
+uint64_t AdHocJoinTruth(const WindowJoinCounter& truth,
+                        const AnalystQuery& query) {
+  constexpr Word kAny = 0xFFFFFFFFu;
+  switch (query.kind) {
+    case AnalystQuery::Kind::kCountAll:
+      return truth.count();
+    case AnalystQuery::Kind::kCountDateRange:
+      return truth.CountPairsWithT2In(0, kAny, query.lo, query.hi);
+    case AnalystQuery::Kind::kCountKeyEquals:
+      return truth.CountPairsWithT2In(query.key, query.key, 0, kAny);
+  }
+  return 0;
+}
+
 }  // namespace incshrink

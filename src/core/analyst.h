@@ -3,6 +3,7 @@
 #include <cstdint>
 
 #include "src/oblivious/filter.h"
+#include "src/relational/query.h"
 #include "src/secret/share.h"
 
 namespace incshrink {
@@ -40,5 +41,10 @@ struct AnalystQuery {
 /// is evaluated obliviously (`ObliviousCountWhere`), so the server learns
 /// nothing about which view rows matched.
 ObliviousPredicate RewriteToViewPredicate(const AnalystQuery& query);
+
+/// The exact logical answer to `query` over the join pairs `truth` has
+/// counted: the evaluation-only ground truth of an ad-hoc query.
+uint64_t AdHocJoinTruth(const WindowJoinCounter& truth,
+                        const AnalystQuery& query);
 
 }  // namespace incshrink

@@ -681,21 +681,7 @@ Engine::AdHocResult Engine::AnswerAdHocQuery(const AnalystQuery& query) {
 
 uint64_t Engine::AdHocTruth(const AnalystQuery& query) const {
   INCSHRINK_CHECK(config_.view_kind == ViewKind::kWindowJoin);
-  uint64_t truth = 0;
-  for (const WindowJoinCounter::MatchedPair& pair : truth_.pairs()) {
-    switch (query.kind) {
-      case AnalystQuery::Kind::kCountAll:
-        ++truth;
-        break;
-      case AnalystQuery::Kind::kCountDateRange:
-        if (pair.date2 >= query.lo && pair.date2 <= query.hi) ++truth;
-        break;
-      case AnalystQuery::Kind::kCountKeyEquals:
-        if (pair.key == query.key) ++truth;
-        break;
-    }
-  }
-  return truth;
+  return AdHocJoinTruth(truth_, query);
 }
 
 Result<std::vector<uint8_t>> Engine::SaveCheckpoint() {
@@ -930,7 +916,7 @@ Status Engine::RestoreCheckpoint(const std::vector<uint8_t>& snapshot) {
         "snapshot view has the wrong row width");
   }
 
-  WindowJoinCounter truth = truth_;
+  WindowJoinCounter truth(truth_.query());
   r.BeginSection(kTagTruth);
   INCSHRINK_RETURN_NOT_OK(truth.RestoreFrom(&r));
   r.EndSection();

@@ -173,7 +173,7 @@ class Engine {
   uint64_t AdHocTruth(const AnalystQuery& query) const;
 
   // ------------------------------------------------------------------
-  // Crash-safe checkpoint/restore (ICKP v2, src/storage/checkpoint.h).
+  // Crash-safe checkpoint/restore (ICKP v3, src/storage/checkpoint.h).
   // ------------------------------------------------------------------
 
   /// Serializes the engine's full resumable state — clocks, RNG cursors,

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "src/common/status.h"
@@ -38,12 +37,20 @@ struct WindowJoinQuery {
 /// \brief Incremental ground-truth evaluator for a WindowJoinQuery over two
 /// growing tables.
 ///
-/// Feeds per-step insertions and maintains the exact logical answer
-/// q_t(D_t) in O(new x matching) time per step, so the benchmark harness can
-/// issue one query per step over thousands of steps cheaply.
+/// Each relation is an append-only list of per-step runs. A run holds one
+/// step's arrivals as {key, date} pairs (8 bytes each) sorted by (key, date),
+/// with its min and max date and `prefix_max`, the highest max date of it
+/// and every earlier run; an empty step adds no run. A partner lookup skips,
+/// by one binary search on `prefix_max`, every run that ends before the
+/// partner date range starts, skips the later runs whose [min, max] misses
+/// the range, and counts each remaining run with two binary searches. Where
+/// dates grow with the step clock about a window's worth of runs survive the
+/// skip; where they do not, the count is still exact, only slower.
 class WindowJoinCounter {
  public:
   explicit WindowJoinCounter(WindowJoinQuery query) : query_(query) {}
+
+  const WindowJoinQuery& query() const { return query_; }
 
   /// Ingests the records inserted at one step (both sides) and returns the
   /// updated total count.
@@ -52,39 +59,57 @@ class WindowJoinCounter {
 
   uint64_t count() const { return count_; }
 
-  /// One logical join pair (for ad-hoc ground truth).
-  struct MatchedPair {
-    Word key;
-    Word date1;
-    Word date2;
-  };
+  /// Join pairs whose T2 record has key in [key_lo, key_hi] and date in
+  /// [date_lo, date_hi]: exact ground truth for the rewritten ad-hoc
+  /// queries. An on-demand scan of T2, for evaluation only.
+  uint64_t CountPairsWithT2In(Word key_lo, Word key_hi, Word date_lo,
+                              Word date_hi) const;
 
-  /// Every qualifying pair found so far, in discovery order. Enables exact
-  /// ground truth for the rewritten ad-hoc queries (date-range / key
-  /// restrictions over the join relation).
-  const std::vector<MatchedPair>& pairs() const { return pairs_; }
-
-  /// Exact recount from scratch (O(n1 x avg-bucket)); used by tests to
-  /// validate the incremental path.
-  static uint64_t CountFull(const WindowJoinQuery& query,
-                            const std::vector<LogicalRecord>& t1,
-                            const std::vector<LogicalRecord>& t2);
-
-  /// Checkpoint support: serializes the full incremental state (count,
-  /// discovered pairs, both key indexes). Index keys are emitted sorted so
-  /// snapshot bytes are deterministic regardless of hash-map iteration
-  /// order; per-key bucket vectors keep their insertion order, which is what
-  /// the incremental join's discovery order depends on.
+  /// Checkpoint support: the count, then per relation the run sizes and
+  /// their {key, date} pairs in stored order. Run bounds are derived again
+  /// on restore.
   void SaveTo(CheckpointWriter* writer) const;
-  /// Restores the state saved by SaveTo; fails closed on malformed input.
+  /// Restores the state saved by SaveTo. Fails closed, leaving the counter
+  /// untouched, unless every run is non-empty and sorted and the count
+  /// equals a full recount of the restored runs.
   Status RestoreFrom(CheckpointReader* reader);
 
  private:
+  struct Arrival {
+    Word key;
+    Word date;
+    bool operator<(const Arrival& o) const {
+      return key != o.key ? key < o.key : date < o.date;
+    }
+  };
+  struct Run {
+    std::vector<Arrival> arrivals;  ///< sorted by (key, date), never empty
+    Word min_date = 0;
+    Word max_date = 0;
+    Word prefix_max = 0;  ///< highest max_date of this and every earlier run
+  };
+  /// One relation's runs, in step order.
+  struct Relation {
+    std::vector<Run> runs;
+
+    /// Sorts one step's records into a run (none if empty).
+    void AppendStep(const std::vector<LogicalRecord>& recs);
+    /// Appends `sorted`, a non-empty sorted step of arrivals, as a run.
+    void Append(std::vector<Arrival> sorted);
+    /// Arrivals with `key` and a date in [lo, hi], clipped to the date
+    /// range, across every run.
+    uint64_t CountMatches(Word key, int64_t lo, int64_t hi) const;
+  };
+
+  /// Partners of a T2 record among T1 (dates [date2 - hi, date2 - lo]) and
+  /// of a T1 record among T2 (dates [date1 + lo, date1 + hi]).
+  uint64_t T1PartnersOf(Word key, Word date2) const;
+  uint64_t T2PartnersOf(Word key, Word date1) const;
+
   WindowJoinQuery query_;
-  std::unordered_map<Word, std::vector<LogicalRecord>> idx1_;
-  std::unordered_map<Word, std::vector<LogicalRecord>> idx2_;
+  Relation t1_;
+  Relation t2_;
   uint64_t count_ = 0;
-  std::vector<MatchedPair> pairs_;
 };
 
 }  // namespace incshrink

@@ -9,7 +9,7 @@ namespace incshrink {
 
 namespace {
 
-constexpr uint8_t kVersion = 2;
+constexpr uint8_t kVersion = 3;
 constexpr char kMagic[4] = {'I', 'C', 'K', 'P'};
 
 void AppendU32(std::vector<uint8_t>* out, uint32_t v) {

@@ -14,7 +14,7 @@
 
 namespace incshrink {
 
-/// \brief ICKP v2: the versioned, bounds-checked snapshot container.
+/// \brief ICKP v3: the versioned, bounds-checked snapshot container.
 ///
 /// Every resumable object in the system (engines, owner clients, fleet
 /// tenants) serializes into this format. It carries the same hardening
@@ -25,12 +25,14 @@ namespace incshrink {
 /// FNV-1a64 checksum over everything that precedes it. A torn write (any
 /// strict prefix), a bit flip anywhere, or a hostile dimension header is
 /// rejected with a Status — the decoder never loads a partial state and never
-/// exhibits UB. Version 2 stores only the retained window of each
-/// outsourced store (src/core/engine.cc); version-1 blobs are rejected as an
-/// unsupported version.
+/// exhibits UB. Version 2 stored only the retained window of each
+/// outsourced store (src/core/engine.cc); version 3 stores the ground-truth
+/// counter as its count plus per-step sorted {key, date} runs
+/// (src/relational/query.h). Older blobs are rejected as an unsupported
+/// version.
 ///
 /// Layout (little-endian):
-///   magic "ICKP" | u8 version (2) |
+///   magic "ICKP" | u8 version (3) |
 ///   sections: (u32 tag | u64 len | len payload bytes)* |
 ///   u64 fnv1a64 over all preceding bytes
 ///
@@ -59,7 +61,7 @@ constexpr uint32_t CheckpointTag(char a, char b, char c, char d) {
          (static_cast<uint32_t>(static_cast<uint8_t>(d)) << 24);
 }
 
-/// \brief Appends typed fields into an ICKP v2 byte stream.
+/// \brief Appends typed fields into an ICKP v3 byte stream.
 ///
 /// Usage: BeginSection(tag) ... field writes ... EndSection(), repeated, then
 /// Finish() stamps the checksum and yields the blob. Sections may nest; the
@@ -83,7 +85,7 @@ class CheckpointWriter {
   void WriteRng(const RngState& state);
   void WriteStats(const CircuitStats& stats);
   void WriteWordShares(const WordShares& shares);
-  /// Plaintext evaluation-only record (owner queues, ground-truth indexes).
+  /// Plaintext evaluation-only record (owner queues).
   void WriteRecord(const LogicalRecord& rec);
   /// Secret-shared tables go through the ISR1 share-blob path only: two
   /// length-prefixed per-server blobs, halves never interleaved.
@@ -98,7 +100,7 @@ class CheckpointWriter {
   std::vector<size_t> open_sections_;  // offsets of length fields to patch
 };
 
-/// \brief Bounds-checked reader over an ICKP v2 byte stream.
+/// \brief Bounds-checked reader over an ICKP v3 byte stream.
 ///
 /// Open() validates magic, version, minimum size and the checksum trailer up
 /// front, so by the time field reads happen the bytes are known to be exactly

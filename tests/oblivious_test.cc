@@ -12,6 +12,7 @@
 #include "src/oblivious/sort.h"
 #include "src/relational/encode.h"
 #include "src/relational/query.h"
+#include "tests/truth_oracle.h"
 
 namespace incshrink {
 namespace {
@@ -408,7 +409,7 @@ TEST_F(ObliviousTest, FullJoinCountMatchesPlaintext) {
   const uint32_t count = ObliviousJoinCountFull(&proto_, s1, s2, spec);
 
   WindowJoinQuery q{0, 10, true};
-  EXPECT_EQ(count, WindowJoinCounter::CountFull(q, t1, t2));
+  EXPECT_EQ(count, CountFull(q, t1, t2));
 }
 
 // ---------------------------------------------------------------------------

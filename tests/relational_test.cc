@@ -5,6 +5,7 @@
 #include "src/relational/growing_table.h"
 #include "src/relational/query.h"
 #include "src/relational/schema.h"
+#include "tests/truth_oracle.h"
 
 namespace incshrink {
 namespace {
@@ -77,9 +78,7 @@ TEST_P(WindowJoinCounterTest, IncrementalMatchesFullRecount) {
     counter.Step(n1, n2);
     all1.insert(all1.end(), n1.begin(), n1.end());
     all2.insert(all2.end(), n2.begin(), n2.end());
-    ASSERT_EQ(counter.count(),
-              WindowJoinCounter::CountFull(q, all1, all2))
-        << "step " << t;
+    ASSERT_EQ(counter.count(), CountFull(q, all1, all2)) << "step " << t;
   }
 }
 
@@ -95,6 +94,69 @@ TEST(WindowJoinCounterTest, SameStepPairsCountedOnce) {
   // A later record joining the old one.
   counter.Step({}, {{2, 3, 7, 104, 0}});
   EXPECT_EQ(counter.count(), 2u);
+}
+
+/// A date the workload generators never produce: near 0, within 12 of the
+/// largest date, or on a base that falls as the steps advance.
+Word AdversarialDate(Rng* rng, uint64_t t) {
+  switch (rng->Uniform(3)) {
+    case 0:
+      return static_cast<Word>(rng->Uniform(16));
+    case 1:
+      return 0xFFFFFFFFu - static_cast<Word>(rng->Uniform(13));
+    default:
+      return static_cast<Word>(1000 - 7 * t + rng->Uniform(20));
+  }
+}
+
+TEST(WindowJoinCounterTest, RunsMatchBruteForceOnAdversarialInputs) {
+  // Dates that go backwards across steps or sit at either end of the date
+  // range, windows that start above 0, are empty or are switched off, empty
+  // steps and a key domain of 4: count() and every ad-hoc count must equal
+  // the brute-force oracle after every step.
+  Rng rng(3000);
+  for (int trial = 0; trial < 3000; ++trial) {
+    WindowJoinQuery q;
+    q.window_lo = static_cast<Word>(rng.Uniform(4));
+    q.window_hi = q.window_lo + static_cast<Word>(rng.Uniform(12));
+    if (rng.Uniform(16) == 0) {  // an empty window
+      q.window_lo = 3;
+      q.window_hi = 1;
+    }
+    q.use_window = rng.Uniform(5) != 0;
+    WindowJoinCounter counter(q);
+    std::vector<LogicalRecord> all1, all2;
+    Word rid = 1;
+    const uint64_t steps = 1 + rng.Uniform(12);
+    for (uint64_t t = 1; t <= steps; ++t) {
+      std::vector<LogicalRecord> n1, n2;
+      for (std::vector<LogicalRecord>* side : {&n1, &n2}) {
+        const uint64_t n = rng.Uniform(3) == 0 ? 0 : rng.Uniform(7);
+        for (uint64_t i = 0; i < n; ++i) {
+          side->push_back({t, rid++, static_cast<Word>(rng.Uniform(4)),
+                           AdversarialDate(&rng, t), 0});
+        }
+      }
+      counter.Step(n1, n2);
+      all1.insert(all1.end(), n1.begin(), n1.end());
+      all2.insert(all2.end(), n2.begin(), n2.end());
+      const std::vector<OraclePair> pairs = OraclePairs(q, all1, all2);
+      ASSERT_EQ(counter.count(), pairs.size())
+          << "trial " << trial << " step " << t;
+      Word lo = AdversarialDate(&rng, t);
+      Word hi = AdversarialDate(&rng, t);
+      if (rng.Uniform(4) != 0 && lo > hi) std::swap(lo, hi);
+      for (const AnalystQuery& query :
+           {AnalystQuery::CountAll(), AnalystQuery::CountDateRange(lo, hi),
+            AnalystQuery::CountDateRange(0, 0xFFFFFFFFu),
+            AnalystQuery::CountKeyEquals(static_cast<Word>(rng.Uniform(5)))}) {
+        ASSERT_EQ(AdHocJoinTruth(counter, query),
+                  OracleAdHocCount(pairs, query))
+            << "trial " << trial << " step " << t << " kind "
+            << static_cast<int>(query.kind);
+      }
+    }
+  }
 }
 
 TEST(EncodeTest, SourceRowRoundTrip) {

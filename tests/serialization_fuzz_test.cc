@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -629,6 +630,161 @@ TEST(IckpFuzzTest, HostileStoreFieldsBehindValidChecksumsAreRejected) {
   EXPECT_NE(opened.status().ToString().find("unsupported snapshot version"),
             std::string::npos);
   EXPECT_FALSE(victim.RestoreCheckpoint(v1).ok());
+}
+
+/// The v3 ground-truth section, decoded: the pair count, then per relation
+/// its runs of {key, date} arrivals.
+struct TruthSection {
+  uint64_t count = 0;
+  std::vector<std::vector<std::pair<uint32_t, uint32_t>>> runs[2];
+};
+
+uint32_t GetU32(const std::vector<uint8_t>& bytes, size_t offset) {
+  uint32_t value = 0;
+  for (int i = 0; i < 4; ++i) {
+    value |= static_cast<uint32_t>(bytes[offset + i]) << (8 * i);
+  }
+  return value;
+}
+
+void AppendLe(std::vector<uint8_t>* out, uint64_t value, int width) {
+  for (int i = 0; i < width; ++i) {
+    out->push_back(static_cast<uint8_t>(value >> (8 * i)));
+  }
+}
+
+const uint32_t kTagTruth = CheckpointTag('T', 'R', 'U', 'T');
+
+TruthSection DecodeTruth(const std::vector<uint8_t>& blob) {
+  size_t at = SectionPayloadOffset(blob, kTagTruth);
+  TruthSection truth;
+  truth.count = GetU64(blob, at);
+  at += 8;
+  for (auto& runs : truth.runs) {
+    const uint64_t num_runs = GetU64(blob, at);
+    at += 8;
+    for (uint64_t r = 0; r < num_runs; ++r) {
+      const uint64_t size = GetU64(blob, at);
+      at += 8;
+      runs.emplace_back();
+      for (uint64_t i = 0; i < size; ++i, at += 8) {
+        runs.back().push_back({GetU32(blob, at), GetU32(blob, at + 4)});
+      }
+    }
+  }
+  return truth;
+}
+
+std::vector<uint8_t> EncodeTruth(const TruthSection& truth) {
+  std::vector<uint8_t> payload;
+  AppendLe(&payload, truth.count, 8);
+  for (const auto& runs : truth.runs) {
+    AppendLe(&payload, runs.size(), 8);
+    for (const auto& run : runs) {
+      AppendLe(&payload, run.size(), 8);
+      for (const auto& [key, date] : run) {
+        AppendLe(&payload, key, 4);
+        AppendLe(&payload, date, 4);
+      }
+    }
+  }
+  return payload;
+}
+
+/// `blob` with the ground-truth section's payload replaced and the section
+/// length and checksum re-stamped: a forgery only the decoder can catch.
+std::vector<uint8_t> WithTruthPayload(const std::vector<uint8_t>& blob,
+                                      const std::vector<uint8_t>& payload) {
+  const size_t at = SectionPayloadOffset(blob, kTagTruth);
+  const size_t old_end = at + GetU64(blob, at - 8);
+  std::vector<uint8_t> out(blob.begin(), blob.begin() + at);
+  PutU64(&out, at - 8, payload.size());
+  out.insert(out.end(), payload.begin(), payload.end());
+  out.insert(out.end(), blob.begin() + old_end, blob.end());
+  FixupChecksum(&out);
+  return out;
+}
+
+TEST(IckpFuzzTest, HostileTruthRunsBehindValidChecksumsAreRejected) {
+  // The v3 truth section is count | per relation: run count, then per run
+  // its size and sorted {key, date} pairs. Every forgery below must bounce
+  // with InvalidArgument and leave the victim on its own, different state.
+  const IncShrinkConfig cfg = SnapshotFuzzConfig();
+  const std::vector<uint8_t> blob = SampleEngineSnapshot(cfg, /*steps=*/12);
+  const std::vector<uint8_t> before = SampleEngineSnapshot(cfg);
+  Engine victim(cfg);
+  ASSERT_TRUE(victim.RestoreCheckpoint(before).ok());
+  const TruthSection truth = DecodeTruth(blob);
+  ASSERT_EQ(EncodeTruth(truth).size(),
+            GetU64(blob, SectionPayloadOffset(blob, kTagTruth) - 8));
+  ASSERT_EQ(WithTruthPayload(blob, EncodeTruth(truth)), blob);
+  ASSERT_GT(truth.count, 0u);
+
+  struct Forgery {
+    std::string name;
+    std::vector<uint8_t> payload;
+    const char* reason;  ///< expected in the rejection message
+  };
+  std::vector<Forgery> forgeries;
+  for (int side = 0; side < 2; ++side) {
+    const std::string name = side == 0 ? "T1 " : "T2 ";
+    ASSERT_FALSE(truth.runs[side].empty());
+    // Unsorted: reverse the first run with two distinct arrivals.
+    TruthSection unsorted = truth;
+    bool reversed = false;
+    for (auto& run : unsorted.runs[side]) {
+      if (run.front() != run.back()) {
+        std::reverse(run.begin(), run.end());
+        reversed = true;
+        break;
+      }
+    }
+    ASSERT_TRUE(reversed) << name << "has no run to unsort";
+    forgeries.push_back(
+        {name + "unsorted run", EncodeTruth(unsorted), "not sorted"});
+    // Empty: a run of size 0 ahead of the others.
+    TruthSection empty = truth;
+    empty.runs[side].emplace(empty.runs[side].begin());
+    forgeries.push_back({name + "empty run", EncodeTruth(empty), "empty"});
+  }
+  for (const int64_t delta : {-1, 1}) {
+    TruthSection miscounted = truth;
+    miscounted.count += static_cast<uint64_t>(delta);
+    forgeries.push_back({"count " + std::to_string(delta),
+                         EncodeTruth(miscounted), "disagrees"});
+  }
+  // Truncated: the final run loses its last pair (or half of it) while its
+  // size still claims it.
+  for (const size_t cut : {4, 8}) {
+    std::vector<uint8_t> payload = EncodeTruth(truth);
+    payload.resize(payload.size() - cut);
+    forgeries.push_back(
+        {"truncated by " + std::to_string(cut), payload, "ground-truth runs"});
+  }
+
+  for (const Forgery& f : forgeries) {
+    const Status st =
+        victim.RestoreCheckpoint(WithTruthPayload(blob, f.payload));
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << f.name;
+    EXPECT_NE(st.ToString().find(f.reason), std::string::npos)
+        << f.name << ": " << st.ToString();
+  }
+  // A v2 header (the pair-log truth layout) is rejected as an unsupported
+  // version: there is no v2 decode path.
+  std::vector<uint8_t> v2 = blob;
+  v2[4] = 2;
+  FixupChecksum(&v2);
+  const Status st = victim.RestoreCheckpoint(v2);
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(st.ToString().find("unsupported snapshot version"),
+            std::string::npos);
+
+  // Every bounced forgery left the victim where it was; the honest blob
+  // still loads.
+  Result<std::vector<uint8_t>> again = victim.SaveCheckpoint();
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(before, *again);
+  EXPECT_TRUE(victim.RestoreCheckpoint(blob).ok());
 }
 
 TEST(IckpFuzzTest, RandomGarbageNeverOpens) {

@@ -2,6 +2,7 @@
 
 #include "src/relational/query.h"
 #include "src/workload/generators.h"
+#include "tests/truth_oracle.h"
 
 namespace incshrink {
 namespace {
@@ -24,7 +25,7 @@ TEST(TpcDsGeneratorTest, MultiplicityOneAndWindowed) {
   for (const auto& v : w.t2) all2.insert(all2.end(), v.begin(), v.end());
   // Every return matches exactly one sale, within [0, 9] days.
   WindowJoinQuery q{0, 10, true};
-  EXPECT_EQ(WindowJoinCounter::CountFull(q, all1, all2),
+  EXPECT_EQ(CountFull(q, all1, all2),
             w.total_view_entries);
   EXPECT_EQ(w.total_view_entries, w.total_t2);
 }
