@@ -1,31 +1,8 @@
 #include "src/core/config.h"
 
-#include <cstring>
+#include "src/common/bytes.h"
 
 namespace incshrink {
-
-namespace {
-
-/// Local FNV-1a64 over the canonical field serialization (config.cc must not
-/// depend on src/storage; the constants match src/storage/checkpoint.h).
-struct FieldHasher {
-  uint64_t h = 0xCBF29CE484222325ull;
-
-  void Byte(uint8_t b) {
-    h ^= b;
-    h *= 0x100000001B3ull;
-  }
-  void U64(uint64_t v) {
-    for (int i = 0; i < 8; ++i) Byte((v >> (8 * i)) & 0xFF);
-  }
-  void F64(double v) {
-    uint64_t bits = 0;
-    std::memcpy(&bits, &v, sizeof(bits));
-    U64(bits);
-  }
-};
-
-}  // namespace
 
 const char* StrategyName(Strategy s) {
   switch (s) {
@@ -105,7 +82,7 @@ Status IncShrinkConfig::Validate() const {
 }
 
 uint64_t ConfigFingerprint(const IncShrinkConfig& config) {
-  FieldHasher hasher;
+  ByteWriter fields;
   // Every field a running engine's behavior depends on, in declaration
   // order. Deliberately excluded: cache_shard_threads and
   // oblivious_batch_min_layer (scheduling only — results are bit-identical
@@ -113,45 +90,45 @@ uint64_t ConfigFingerprint(const IncShrinkConfig& config) {
   // different worker budget), and the checkpoint knobs themselves (a
   // snapshot from an auto-checkpointing run restores fine into an engine
   // that checkpoints on demand only).
-  hasher.F64(config.eps);
-  hasher.U64(config.omega);
-  hasher.U64(config.budget_b);
-  hasher.U64(static_cast<uint64_t>(config.view_kind));
-  hasher.U64(config.join.window_lo);
-  hasher.U64(config.join.window_hi);
-  hasher.Byte(config.join.use_window ? 1 : 0);
-  hasher.U64(config.join.omega);
-  hasher.U64(config.filter.lo);
-  hasher.U64(config.filter.hi);
-  hasher.U64(config.window_steps);
-  hasher.U64(static_cast<uint64_t>(config.op));
-  hasher.Byte(config.t2_is_public ? 1 : 0);
-  hasher.U64(static_cast<uint64_t>(config.strategy));
-  hasher.U64(config.timer_T);
-  hasher.F64(config.ant_theta);
-  hasher.U64(config.flush_interval);
-  hasher.U64(config.flush_size);
-  hasher.U64(config.num_cache_shards);
-  hasher.U64(config.sla_weight);
-  hasher.U64(static_cast<uint64_t>(config.sort_algorithm));
-  hasher.U64(config.upload_rows_t1);
-  hasher.U64(config.upload_rows_t2);
+  fields.F64(config.eps);
+  fields.U64(config.omega);
+  fields.U64(config.budget_b);
+  fields.U64(static_cast<uint64_t>(config.view_kind));
+  fields.U64(config.join.window_lo);
+  fields.U64(config.join.window_hi);
+  fields.U8(config.join.use_window ? 1 : 0);
+  fields.U64(config.join.omega);
+  fields.U64(config.filter.lo);
+  fields.U64(config.filter.hi);
+  fields.U64(config.window_steps);
+  fields.U64(static_cast<uint64_t>(config.op));
+  fields.U8(config.t2_is_public ? 1 : 0);
+  fields.U64(static_cast<uint64_t>(config.strategy));
+  fields.U64(config.timer_T);
+  fields.F64(config.ant_theta);
+  fields.U64(config.flush_interval);
+  fields.U64(config.flush_size);
+  fields.U64(config.num_cache_shards);
+  fields.U64(config.sla_weight);
+  fields.U64(static_cast<uint64_t>(config.sort_algorithm));
+  fields.U64(config.upload_rows_t1);
+  fields.U64(config.upload_rows_t2);
   for (const UploadPolicyConfig* policy :
        {&config.upload_policy1, &config.upload_policy2}) {
-    hasher.U64(static_cast<uint64_t>(policy->kind));
-    hasher.F64(policy->eps_sync);
-    hasher.U64(policy->sync_interval);
-    hasher.F64(policy->sync_theta);
+    fields.U64(static_cast<uint64_t>(policy->kind));
+    fields.F64(policy->eps_sync);
+    fields.U64(policy->sync_interval);
+    fields.F64(policy->sync_theta);
   }
-  hasher.U64(config.max_batches_per_step);
-  hasher.U64(config.upload_channel_capacity);
-  hasher.Byte(config.compact_transform_output ? 1 : 0);
-  hasher.F64(config.cost_model.seconds_per_and_gate);
-  hasher.F64(config.cost_model.seconds_per_byte);
-  hasher.F64(config.cost_model.seconds_per_round);
-  hasher.F64(config.cost_model.bytes_per_and_gate);
-  hasher.U64(config.seed);
-  return hasher.h;
+  fields.U64(config.max_batches_per_step);
+  fields.U64(config.upload_channel_capacity);
+  fields.U8(config.compact_transform_output ? 1 : 0);
+  fields.F64(config.cost_model.seconds_per_and_gate);
+  fields.F64(config.cost_model.seconds_per_byte);
+  fields.F64(config.cost_model.seconds_per_round);
+  fields.F64(config.cost_model.bytes_per_and_gate);
+  fields.U64(config.seed);
+  return Fnv1a64(fields.data(), fields.size());
 }
 
 }  // namespace incshrink

@@ -150,74 +150,6 @@ void DeploymentFleet::ServiceTenants(const std::vector<size_t>& serve) {
   });
 }
 
-size_t DeploymentFleet::StepAll() {
-  return scheduler_.enabled ? StepAllScheduled() : StepAllLockstep();
-}
-
-size_t DeploymentFleet::StepAllLockstep() {
-  // The set of tenants that participate in this round is decided up front
-  // (it depends only on the cursors and queue depths, never on scheduling),
-  // then executed concurrently: each task touches exactly one tenant's
-  // owners, channels, engine and cursor, so any interleaving of tasks
-  // yields the same per-tenant state.
-  std::vector<size_t> live;
-  for (size_t i = 0; i < tenants_.size(); ++i) {
-    if (cursor_[i] < tenants_[i].workload->steps() ||
-        engines_[i]->queue_depth() > 0) {
-      live.push_back(i);
-    }
-  }
-  if (live.empty()) return 0;
-  ++rounds_;
-  // Phase A — per-tenant, concurrent: owner pushes plus either the whole
-  // engine step (unfused) or its BeginStep half (coalescing). Each task
-  // touches only tenant i's state.
-  std::vector<std::vector<SortJob>> tenant_jobs(live.size());
-  std::vector<uint8_t> stepped(live.size(), 0);
-  pool_.ParallelFor(live.size(), [&](size_t k) {
-    const size_t i = live[k];
-    RunOwnerPhase(i);
-    Engine& engine = *engines_[i];
-    // Engine phase: step iff frames are queued; a backlogged tenant drains
-    // up to max_batches_per_step owner steps in this one engine step.
-    if (engine.queue_depth() > 0) {
-      stepped[k] = 1;
-      if (!coalesce_sorts_) {
-        INCSHRINK_CHECK(engine.Step().ok());
-      } else {
-        INCSHRINK_CHECK(engine.BeginStep().ok());
-        tenant_jobs[k] = engine.TakePendingSortJobs();
-      }
-    }
-  });
-  // Service-latency bookkeeping (stat-only; lockstep services every
-  // backlogged tenant every round, so gaps here are typically all 1).
-  for (size_t k = 0; k < live.size(); ++k) {
-    if (stepped[k]) RecordService(live[k]);
-  }
-  if (!coalesce_sorts_) return live.size();
-
-  // Phase B — the fused cross-tenant submission (see ServiceTenants; this
-  // path keeps owner pushes and BeginStep fused in one task per tenant, the
-  // exact PR 5 cadence).
-  std::vector<SortJob> fused;
-  for (std::vector<SortJob>& jobs : tenant_jobs) {
-    fused.insert(fused.end(), jobs.begin(), jobs.end());
-  }
-  if (!fused.empty()) {
-    ObliviousSortBatch(fused.data(), fused.size(),
-                       BatchExec{&pool_, batch_min_layer_});
-    fused_sort_jobs_ += fused.size();
-    ++fused_sort_submissions_;
-  }
-
-  // Phase C — per-tenant commits, concurrent again.
-  pool_.ParallelFor(live.size(), [&](size_t k) {
-    if (stepped[k]) INCSHRINK_CHECK(engines_[live[k]]->FinishStep().ok());
-  });
-  return live.size();
-}
-
 uint64_t DeploymentFleet::PriorityKey(size_t i) const {
   const Engine& e = *engines_[i];
   const uint64_t dist = e.StepsToNextPublicRelease();
@@ -252,7 +184,9 @@ uint64_t DeploymentFleet::StarvationBoundRounds() const {
   return d + (n - 1 + b - 1) / std::max<uint64_t>(b, 1) + 1;
 }
 
-size_t DeploymentFleet::StepAllScheduled() {
+size_t DeploymentFleet::StepAll() {
+  // The set of tenants that participate in this round depends only on the
+  // cursors and queue depths, never on scheduling.
   std::vector<size_t> live;
   for (size_t i = 0; i < tenants_.size(); ++i) {
     if (cursor_[i] < tenants_[i].workload->steps() ||
@@ -266,20 +200,27 @@ size_t DeploymentFleet::StepAllScheduled() {
   // Phase O — exogenous arrivals: every live tenant's owners push this
   // round whether or not the tenant wins engine service (traffic does not
   // wait for the scheduler; the scheduler rations *service*, and unserviced
-  // tenants simply accumulate public backlog). Identical per-tenant code to
-  // the lockstep owner phase, so a scheduler that selects everyone
-  // reproduces the sweep bit for bit.
+  // tenants simply accumulate public backlog). Each task touches only one
+  // tenant's owners, channels and cursor, so any interleaving yields the
+  // same per-tenant state.
   pool_.ParallelFor(live.size(),
                     [&](size_t k) { RunOwnerPhase(live[k]); });
+
+  std::vector<size_t> backlogged;
+  for (const size_t i : live) {
+    if (engines_[i]->queue_depth() > 0) backlogged.push_back(i);
+  }
+  // Lockstep: every backlogged tenant steps, in tenant order; a backlogged
+  // tenant drains up to max_batches_per_step owner steps in one engine step.
+  if (!scheduler_.enabled) {
+    ServiceTenants(backlogged);
+    return live.size();
+  }
 
   // Selection — serial, before any engine work, from public state only:
   // queue depths, engine clocks, config weights and age counters. Sorting
   // by (key descending, tenant id ascending) is a fixed total order, so the
   // schedule is bit-identical at any thread count.
-  std::vector<size_t> backlogged;
-  for (const size_t i : live) {
-    if (engines_[i]->queue_depth() > 0) backlogged.push_back(i);
-  }
   std::vector<std::pair<uint64_t, size_t>> order;
   order.reserve(backlogged.size());
   for (const size_t i : backlogged) order.emplace_back(PriorityKey(i), i);

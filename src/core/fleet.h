@@ -29,18 +29,18 @@ uint64_t DeriveTenantSeed(uint64_t root_seed, size_t tenant_index);
 /// time. The fleet's only cross-tenant artifacts are aggregate throughput
 /// counters and the (public) service schedule.
 ///
-/// Two round disciplines:
+/// One round loop: every live tenant's owners push up to the configured
+/// lead (arrivals are exogenous), then the round's served tenants each get
+/// one engine step. Two disciplines choose who is served:
 ///
 ///  * **Lockstep sweep** (`scheduler.enabled == false`, the default, and
-///    the benchmarking cadence since PR 2): every live tenant runs one
-///    round task — owner pushes up to the configured lead, then one engine
-///    step iff frames are queued.
+///    the benchmarking cadence): every tenant with queued frames is served,
+///    and schedule_log() stays empty.
 ///
 ///  * **Deterministic priority scheduler** (`scheduler.enabled == true`,
-///    the traffic-serving cadence): arrivals are exogenous — every live
-///    tenant's owners still push each round — but *engine service* is
-///    rationed. Each round the fleet computes a public priority key per
-///    backlogged tenant,
+///    the traffic-serving cadence): *engine service* is rationed. Each
+///    round the fleet computes a public priority key per backlogged
+///    tenant,
 ///
 ///        key(i) = sla_weight_i * (depth_weight * queue_depth_i + urgency_i)
 ///                 + aging_weight * age_i,
@@ -82,7 +82,7 @@ class DeploymentFleet {
   /// Knobs of the deterministic priority scheduler. All fields are public
   /// constants; none may ever be derived from secret state.
   struct SchedulerOptions {
-    /// Off (default): the legacy lockstep sweep, untouched.
+    /// Off (default): the lockstep sweep serves every backlogged tenant.
     bool enabled = false;
     /// B: engine services granted per round. 0 = every backlogged tenant
     /// (with uniform weights this reproduces the lockstep sweep exactly).
@@ -248,9 +248,6 @@ class DeploymentFleet {
   /// Service-latency bookkeeping for a tenant granted an engine step in the
   /// current round.
   void RecordService(size_t i);
-
-  size_t StepAllLockstep();
-  size_t StepAllScheduled();
 
   std::vector<TenantSpec> tenants_;
   std::vector<std::unique_ptr<Engine>> engines_;

@@ -1,52 +1,36 @@
 #include "src/net/frame_codec.h"
 
 #include <cstring>
+#include <utility>
 
+#include "src/common/bytes.h"
 #include "src/common/logging.h"
 
 namespace incshrink {
 
 namespace {
 
-constexpr char kHelloMagic[4] = {'I', 'U', 'H', '1'};
-
-void AppendU32(std::vector<uint8_t>* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) out->push_back((v >> (8 * i)) & 0xFF);
-}
-
-void AppendU64(std::vector<uint8_t>* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) out->push_back((v >> (8 * i)) & 0xFF);
-}
-
-uint32_t ReadU32(const uint8_t* p) {
-  uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= static_cast<uint32_t>(p[i]) << (8 * i);
-  return v;
-}
-
-uint64_t ReadU64(const uint8_t* p) {
-  uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<uint64_t>(p[i]) << (8 * i);
-  return v;
-}
+constexpr uint8_t kHelloMagic[4] = {'I', 'U', 'H', '1'};
 
 }  // namespace
 
 std::vector<uint8_t> EncodeHello(uint32_t channel_id) {
-  std::vector<uint8_t> out;
-  out.reserve(kHelloBytes);
-  for (char c : kHelloMagic) out.push_back(static_cast<uint8_t>(c));
-  AppendU32(&out, channel_id);
-  return out;
+  ByteWriter w;
+  w.Reserve(kHelloBytes);
+  w.Raw(kHelloMagic);
+  w.U32(channel_id);
+  return w.Take();
 }
 
 void AppendEnvelope(std::vector<uint8_t>* out, uint64_t seq,
                     const std::vector<uint8_t>& payload) {
   INCSHRINK_CHECK(!payload.empty());
   INCSHRINK_CHECK_LE(payload.size(), UINT32_MAX);
-  AppendU32(out, static_cast<uint32_t>(payload.size()));
-  AppendU64(out, seq);
-  out->insert(out->end(), payload.begin(), payload.end());
+  ByteWriter w(std::move(*out));
+  w.U32(static_cast<uint32_t>(payload.size()));
+  w.U64(seq);
+  w.Raw(payload);
+  *out = w.Take();
 }
 
 void FrameAssembler::Feed(const uint8_t* data, size_t n) {
@@ -67,7 +51,7 @@ Result<bool> FrameAssembler::TakeHello(uint32_t* channel_id) {
     poison_ = Status::InvalidArgument("bad hello magic");
     return poison_;
   }
-  *channel_id = ReadU32(buf_.data() + pos_ + 4);
+  *channel_id = LoadU32(buf_.data() + pos_ + 4);
   pos_ += kHelloBytes;
   Compact();
   return true;
@@ -77,7 +61,7 @@ Result<bool> FrameAssembler::TakeFrame(WireFrame* out) {
   if (!poison_.ok()) return poison_;
   if (buffered_bytes() < kEnvelopeBytes) return false;
   const uint8_t* head = buf_.data() + pos_;
-  const uint32_t payload_len = ReadU32(head);
+  const uint32_t payload_len = LoadU32(head);
   // Validate the envelope before waiting for (or allocating) the payload: a
   // hostile length must neither OOM the server nor stall the stream.
   if (payload_len == 0) {
@@ -88,7 +72,7 @@ Result<bool> FrameAssembler::TakeFrame(WireFrame* out) {
     poison_ = Status::InvalidArgument("frame payload exceeds size limit");
     return poison_;
   }
-  const uint64_t stamp = ReadU64(head + 4);
+  const uint64_t stamp = LoadU64(head + 4);
   if (stamp != next_seq_) {
     poison_ = Status::InvalidArgument("sequence stamp break");
     return poison_;

@@ -15,8 +15,9 @@ namespace incshrink {
 ///   hello   : magic "IUH1" | u32 channel_id            (once, at connect)
 ///   frame   : u32 payload_len | u64 seq | payload[payload_len]
 ///
-/// all little-endian. `payload` is an opaque IUF upload frame
-/// (storage/serialization.h) — this layer never interprets it. `seq` starts
+/// all little-endian, through the one codec in src/common/bytes.h. `payload`
+/// is an opaque IUF upload frame (storage/serialization.h) — this layer
+/// never interprets it. `seq` starts
 /// at 1 and increments by exactly 1 per frame on a connection, so the
 /// receiver detects dropped, reordered, duplicated or injected frames at the
 /// transport level before the payload decoder ever runs; the engine's

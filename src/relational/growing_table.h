@@ -1,9 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
-#include <unordered_map>
-#include <vector>
 
 #include "src/relational/schema.h"
 
@@ -17,44 +14,6 @@ struct LogicalRecord {
   Word key = 0;       ///< join key
   Word date = 0;      ///< event date (days)
   Word payload = 0;   ///< opaque attribute
-};
-
-/// \brief The logical growing database D for one relation: insert-only,
-/// queried as snapshots D_t. This plaintext object exists only on the data
-/// owner / for ground-truth evaluation — servers never see it.
-class GrowingTable {
- public:
-  explicit GrowingTable(std::string name) : name_(std::move(name)) {}
-
-  const std::string& name() const { return name_; }
-  size_t size() const { return records_.size(); }
-
-  void Insert(const LogicalRecord& rec) {
-    records_.push_back(rec);
-    key_index_[rec.key].push_back(records_.size() - 1);
-  }
-
-  const std::vector<LogicalRecord>& records() const { return records_; }
-  const LogicalRecord& record(size_t i) const { return records_[i]; }
-
-  /// Indices of records sharing `key` (any snapshot; filter by step).
-  const std::vector<size_t>* FindByKey(Word key) const {
-    const auto it = key_index_.find(key);
-    return it == key_index_.end() ? nullptr : &it->second;
-  }
-
-  /// Number of records inserted at or before `step` (|D_t|).
-  size_t SnapshotSize(uint64_t step) const {
-    size_t n = 0;
-    for (const auto& r : records_)
-      if (r.step <= step) ++n;
-    return n;
-  }
-
- private:
-  std::string name_;
-  std::vector<LogicalRecord> records_;
-  std::unordered_map<Word, std::vector<size_t>> key_index_;
 };
 
 }  // namespace incshrink

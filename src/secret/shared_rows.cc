@@ -1,6 +1,7 @@
 #include "src/secret/shared_rows.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "src/common/logging.h"
 
@@ -17,6 +18,16 @@ void SharedRows::AppendSecretRow(std::span<const Word> row, Rng* rng) {
     shares1_[base + c] = s.s1;
   }
   ++rows_;
+}
+
+SharedRows::SharedRows(size_t width, std::vector<Word> shares0,
+                       std::vector<Word> shares1)
+    : width_(width),
+      rows_(width == 0 ? 0 : shares0.size() / width),
+      shares0_(std::move(shares0)),
+      shares1_(std::move(shares1)) {
+  INCSHRINK_CHECK_EQ(shares0_.size(), rows_ * width_);
+  INCSHRINK_CHECK_EQ(shares1_.size(), shares0_.size());
 }
 
 void SharedRows::AppendSharedRow(const std::vector<Word>& share0,

@@ -24,6 +24,10 @@ class SharedRows {
  public:
   /// Creates an empty shared table whose rows are `width` words wide.
   explicit SharedRows(size_t width) : width_(width) {}
+  /// Adopts two whole share arrays of `width`-word rows (equal sizes, a
+  /// multiple of `width`): decoders build tables without per-row copies.
+  SharedRows(size_t width, std::vector<Word> shares0,
+             std::vector<Word> shares1);
 
   size_t width() const { return width_; }
   size_t size() const { return rows_; }

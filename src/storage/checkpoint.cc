@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <cstring>
+#include <string>
 
 #include "src/storage/serialization.h"
 
@@ -10,112 +11,68 @@ namespace incshrink {
 namespace {
 
 constexpr uint8_t kVersion = 3;
-constexpr char kMagic[4] = {'I', 'C', 'K', 'P'};
-
-void AppendU32(std::vector<uint8_t>* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) out->push_back((v >> (8 * i)) & 0xFF);
-}
-
-void AppendU64(std::vector<uint8_t>* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) out->push_back((v >> (8 * i)) & 0xFF);
-}
-
-uint32_t LoadU32(const uint8_t* p) {
-  uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= static_cast<uint32_t>(p[i]) << (8 * i);
-  return v;
-}
-
-uint64_t LoadU64(const uint8_t* p) {
-  uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<uint64_t>(p[i]) << (8 * i);
-  return v;
-}
+constexpr uint8_t kMagic[4] = {'I', 'C', 'K', 'P'};
+constexpr size_t kHeaderSize = 5;   // "ICKP" + version byte
+constexpr size_t kTrailerSize = 8;  // fnv1a64
 
 }  // namespace
-
-uint64_t Fnv1a64(const uint8_t* data, size_t size, uint64_t h) {
-  for (size_t i = 0; i < size; ++i) {
-    h ^= data[i];
-    h *= kFnvPrime64;
-  }
-  return h;
-}
 
 // --- CheckpointWriter -------------------------------------------------------
 
 CheckpointWriter::CheckpointWriter() {
-  buf_.assign(kMagic, kMagic + 4);
-  buf_.push_back(kVersion);
+  w_.Raw(kMagic);
+  w_.U8(kVersion);
 }
 
 void CheckpointWriter::BeginSection(uint32_t tag) {
-  AppendU32(&buf_, tag);
-  open_sections_.push_back(buf_.size());
-  AppendU64(&buf_, 0);  // patched by EndSection
+  w_.U32(tag);
+  open_sections_.push_back(w_.BeginLength());
 }
 
 void CheckpointWriter::EndSection() {
   assert(!open_sections_.empty() && "EndSection without BeginSection");
-  const size_t len_at = open_sections_.back();
+  w_.EndLength(open_sections_.back());
   open_sections_.pop_back();
-  const uint64_t len = buf_.size() - (len_at + 8);
-  for (int i = 0; i < 8; ++i) buf_[len_at + i] = (len >> (8 * i)) & 0xFF;
-}
-
-void CheckpointWriter::U8(uint8_t v) { buf_.push_back(v); }
-void CheckpointWriter::U32(uint32_t v) { AppendU32(&buf_, v); }
-void CheckpointWriter::U64(uint64_t v) { AppendU64(&buf_, v); }
-
-void CheckpointWriter::F64(double v) {
-  uint64_t bits = 0;
-  std::memcpy(&bits, &v, sizeof(bits));
-  AppendU64(&buf_, bits);
-}
-
-void CheckpointWriter::Bytes(const std::vector<uint8_t>& bytes) {
-  AppendU64(&buf_, bytes.size());
-  buf_.insert(buf_.end(), bytes.begin(), bytes.end());
 }
 
 void CheckpointWriter::WriteRng(const RngState& state) {
-  for (uint64_t word : state.s) AppendU64(&buf_, word);
-  AppendU64(&buf_, state.cached_normal_bits);
+  for (uint64_t word : state.s) U64(word);
+  U64(state.cached_normal_bits);
   U8(state.have_cached_normal ? 1 : 0);
 }
 
 void CheckpointWriter::WriteStats(const CircuitStats& stats) {
-  AppendU64(&buf_, stats.and_gates);
-  AppendU64(&buf_, stats.xor_gates);
-  AppendU64(&buf_, stats.bytes);
-  AppendU64(&buf_, stats.rounds);
+  U64(stats.and_gates);
+  U64(stats.xor_gates);
+  U64(stats.bytes);
+  U64(stats.rounds);
 }
 
 void CheckpointWriter::WriteWordShares(const WordShares& shares) {
-  AppendU32(&buf_, shares.s0);
-  AppendU32(&buf_, shares.s1);
+  U32(shares.s0);
+  U32(shares.s1);
 }
 
 void CheckpointWriter::WriteRecord(const LogicalRecord& rec) {
-  AppendU64(&buf_, rec.step);
-  AppendU32(&buf_, rec.rid);
-  AppendU32(&buf_, rec.key);
-  AppendU32(&buf_, rec.date);
-  AppendU32(&buf_, rec.payload);
+  U64(rec.step);
+  U32(rec.rid);
+  U32(rec.key);
+  U32(rec.date);
+  U32(rec.payload);
 }
 
 void CheckpointWriter::WriteSharedRows(const SharedRows& rows) {
-  Bytes(SerializeShares(rows, 0));
-  Bytes(SerializeShares(rows, 1));
+  for (const int server : {0, 1}) {
+    const size_t len_at = w_.BeginLength();
+    AppendShareBlob(&w_, rows, server);
+    w_.EndLength(len_at);
+  }
 }
 
 std::vector<uint8_t> CheckpointWriter::Finish() {
   assert(open_sections_.empty() && "Finish with open sections");
-  const uint64_t checksum = Fnv1a64(buf_.data(), buf_.size());
-  AppendU64(&buf_, checksum);
-  std::vector<uint8_t> out;
-  out.swap(buf_);
-  return out;
+  w_.U64(Fnv1a64(w_.data(), w_.size()));
+  return w_.Take();
 }
 
 // --- CheckpointReader -------------------------------------------------------
@@ -139,68 +96,22 @@ Result<CheckpointReader> CheckpointReader::Open(
     return Status::InvalidArgument(
         "snapshot checksum mismatch (torn write or corruption)");
   }
-  return CheckpointReader(bytes.data(), body_end);
+  ByteReader r(bytes.data(), body_end);
+  r.Take(kHeaderSize);
+  return CheckpointReader(std::move(r));
 }
 
 void CheckpointReader::BeginSection(uint32_t tag) {
   const uint32_t got = U32();
   const uint64_t len = U64();
-  if (!ok_) return;
-  if (got != tag || len > Limit() - pos_) {
-    ok_ = false;
-    return;
-  }
-  ends_.push_back(pos_ + static_cast<size_t>(len));
+  if (got != tag) r_.Fail();
+  r_.BeginScope(len);
 }
 
 void CheckpointReader::EndSection() {
-  if (!ok_) return;
-  if (ends_.empty() || pos_ != ends_.back()) {
-    // Unread trailing bytes inside a section mean the blob was not produced
-    // by this decoder's writer; reject rather than silently skipping.
-    ok_ = false;
-    return;
-  }
-  ends_.pop_back();
-}
-
-uint8_t CheckpointReader::U8() {
-  if (!Take(1)) return 0;
-  return data_[pos_++];
-}
-
-uint32_t CheckpointReader::U32() {
-  if (!Take(4)) return 0;
-  const uint32_t v = LoadU32(data_ + pos_);
-  pos_ += 4;
-  return v;
-}
-
-uint64_t CheckpointReader::U64() {
-  if (!Take(8)) return 0;
-  const uint64_t v = LoadU64(data_ + pos_);
-  pos_ += 8;
-  return v;
-}
-
-double CheckpointReader::F64() {
-  const uint64_t bits = U64();
-  double v = 0.0;
-  std::memcpy(&v, &bits, sizeof(v));
-  return v;
-}
-
-std::vector<uint8_t> CheckpointReader::Bytes() {
-  const uint64_t len = U64();
-  // The length is bounded by the bytes actually present in scope before any
-  // allocation, so a hostile header cannot request an astronomic buffer.
-  if (!ok_ || len > Limit() - pos_) {
-    ok_ = false;
-    return {};
-  }
-  std::vector<uint8_t> out(data_ + pos_, data_ + pos_ + len);
-  pos_ += static_cast<size_t>(len);
-  return out;
+  // Unread trailing bytes inside a section mean the blob was not produced
+  // by this decoder's writer; reject rather than silently skipping.
+  r_.EndScope();
 }
 
 RngState CheckpointReader::ReadRng() {
@@ -208,7 +119,7 @@ RngState CheckpointReader::ReadRng() {
   for (uint64_t& word : state.s) word = U64();
   state.cached_normal_bits = U64();
   const uint8_t flag = U8();
-  if (flag > 1) ok_ = false;  // canonical bool encoding only
+  if (flag > 1) r_.Fail();  // canonical bool encoding only
   state.have_cached_normal = flag == 1;
   return state;
 }
@@ -240,25 +151,26 @@ LogicalRecord CheckpointReader::ReadRecord() {
 }
 
 Result<SharedRows> CheckpointReader::ReadSharedRows() {
-  const std::vector<uint8_t> blob0 = Bytes();
-  const std::vector<uint8_t> blob1 = Bytes();
+  const std::span<const uint8_t> blob0 = r_.Bytes();
+  const std::span<const uint8_t> blob1 = r_.Bytes();
   INCSHRINK_RETURN_NOT_OK(ExpectOk("snapshot share blobs"));
   // CombineShareBlobs re-validates dimensions, overflow and trailing bytes —
-  // the same hardened path hostile upload frames go through.
+  // the same hardened path hostile upload frames go through — reading each
+  // blob in place.
   return CombineShareBlobs(blob0, blob1);
 }
 
 Status CheckpointReader::ExpectOk(const char* what) const {
-  if (ok_) return Status::OK();
+  if (r_.ok()) return Status::OK();
   return Status::InvalidArgument(std::string("malformed snapshot: ") + what);
 }
 
 Status CheckpointReader::Finish() const {
-  if (!ok_) return Status::InvalidArgument("malformed snapshot");
-  if (!ends_.empty()) {
+  if (!r_.ok()) return Status::InvalidArgument("malformed snapshot");
+  if (r_.open_scopes() != 0) {
     return Status::InvalidArgument("snapshot decoder left a section open");
   }
-  if (pos_ != body_end_) {
+  if (r_.remaining() != 0) {
     return Status::InvalidArgument("snapshot carries trailing bytes");
   }
   return Status::OK();

@@ -2,9 +2,11 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
+#include <span>
+#include <utility>
 #include <vector>
 
+#include "src/common/bytes.h"
 #include "src/common/result.h"
 #include "src/common/rng.h"
 #include "src/mpc/cost_model.h"
@@ -17,8 +19,8 @@ namespace incshrink {
 /// \brief ICKP v3: the versioned, bounds-checked snapshot container.
 ///
 /// Every resumable object in the system (engines, owner clients, fleet
-/// tenants) serializes into this format. It carries the same hardening
-/// discipline as the IUF upload-frame codec: a magic + version header, a flat
+/// tenants) serializes into this format, through the same byte codec as the
+/// IUF upload frames (src/common/bytes.h): a magic + version header, a flat
 /// sequence of tagged length-prefixed sections, reads that can never step
 /// outside their section, allocation guards that compare every element count
 /// against the bytes actually remaining before reserving, and a trailing
@@ -45,23 +47,15 @@ namespace incshrink {
 /// write as a sink (tools/lint/secret_api.toml), so recovered secrets cannot
 /// silently reach a snapshot.
 
-/// FNV-1a 64-bit over `size` bytes, continuing from `h` (pass the offset
-/// basis for a fresh hash). Each absorbed byte applies a bijection to the
-/// hash state, so any single-byte corruption is detected deterministically.
-inline constexpr uint64_t kFnvOffsetBasis64 = 0xCBF29CE484222325ull;
-inline constexpr uint64_t kFnvPrime64 = 0x100000001B3ull;
-uint64_t Fnv1a64(const uint8_t* data, size_t size,
-                 uint64_t h = kFnvOffsetBasis64);
-
 /// Builds a section tag from four printable characters.
 constexpr uint32_t CheckpointTag(char a, char b, char c, char d) {
-  return static_cast<uint32_t>(static_cast<uint8_t>(a)) |
-         (static_cast<uint32_t>(static_cast<uint8_t>(b)) << 8) |
-         (static_cast<uint32_t>(static_cast<uint8_t>(c)) << 16) |
-         (static_cast<uint32_t>(static_cast<uint8_t>(d)) << 24);
+  const uint8_t bytes[4] = {static_cast<uint8_t>(a), static_cast<uint8_t>(b),
+                            static_cast<uint8_t>(c), static_cast<uint8_t>(d)};
+  return LoadU32(bytes);
 }
 
-/// \brief Appends typed fields into an ICKP v3 byte stream.
+/// \brief Appends typed fields into an ICKP v3 byte stream: a ByteWriter
+/// plus section framing.
 ///
 /// Usage: BeginSection(tag) ... field writes ... EndSection(), repeated, then
 /// Finish() stamps the checksum and yields the blob. Sections may nest; the
@@ -73,13 +67,13 @@ class CheckpointWriter {
   void BeginSection(uint32_t tag);
   void EndSection();
 
-  void U8(uint8_t v);
-  void U32(uint32_t v);
-  void U64(uint64_t v);
+  void U8(uint8_t v) { w_.U8(v); }
+  void U32(uint32_t v) { w_.U32(v); }
+  void U64(uint64_t v) { w_.U64(v); }
   /// Doubles travel as raw IEEE-754 bit patterns so restore is bit-exact.
-  void F64(double v);
+  void F64(double v) { w_.F64(v); }
   /// Length-prefixed opaque byte string.
-  void Bytes(const std::vector<uint8_t>& bytes);
+  void Bytes(const std::vector<uint8_t>& bytes) { w_.Bytes(bytes); }
 
   /// Composite helpers, paired with the CheckpointReader equivalents.
   void WriteRng(const RngState& state);
@@ -88,7 +82,8 @@ class CheckpointWriter {
   /// Plaintext evaluation-only record (owner queues).
   void WriteRecord(const LogicalRecord& rec);
   /// Secret-shared tables go through the ISR1 share-blob path only: two
-  /// length-prefixed per-server blobs, halves never interleaved.
+  /// length-prefixed per-server blobs, written in place, halves never
+  /// interleaved.
   void WriteSharedRows(const SharedRows& rows);
 
   /// Closes the container: all sections must be ended. Returns the final
@@ -96,16 +91,17 @@ class CheckpointWriter {
   std::vector<uint8_t> Finish();
 
  private:
-  std::vector<uint8_t> buf_;
+  ByteWriter w_;
   std::vector<size_t> open_sections_;  // offsets of length fields to patch
 };
 
-/// \brief Bounds-checked reader over an ICKP v3 byte stream.
+/// \brief Bounds-checked reader over an ICKP v3 byte stream: a ByteReader
+/// whose scopes are the sections.
 ///
 /// Open() validates magic, version, minimum size and the checksum trailer up
 /// front, so by the time field reads happen the bytes are known to be exactly
 /// what some writer produced (or an adversarial forgery, which the structural
-/// checks below still contain). Field accessors follow the FrameReader
+/// checks below still contain). Field accessors follow the ByteReader
 /// ok-flag idiom: a read that would cross the current section boundary (or
 /// the end of the body) flips `ok()` and returns a zero value instead of
 /// over-reading. Callers check `ExpectOk()` at section granularity and
@@ -123,14 +119,17 @@ class CheckpointReader {
   /// Leaves the current section; flips ok() if bytes remain unread in it.
   void EndSection();
 
-  uint8_t U8();
-  uint32_t U32();
-  uint64_t U64();
-  double F64();
+  uint8_t U8() { return r_.U8(); }
+  uint32_t U32() { return r_.U32(); }
+  uint64_t U64() { return r_.U64(); }
+  double F64() { return r_.F64(); }
   /// Length-prefixed byte string. The length is checked against the bytes
   /// actually remaining in scope before any allocation happens, so a hostile
   /// length cannot trigger an allocation bomb.
-  std::vector<uint8_t> Bytes();
+  std::vector<uint8_t> Bytes() {
+    const std::span<const uint8_t> bytes = r_.Bytes();
+    return {bytes.begin(), bytes.end()};
+  }
 
   RngState ReadRng();
   CircuitStats ReadStats();
@@ -138,33 +137,16 @@ class CheckpointReader {
   LogicalRecord ReadRecord();
   Result<SharedRows> ReadSharedRows();
 
-  bool ok() const { return ok_; }
+  bool ok() const { return r_.ok(); }
   /// InvalidArgument naming `what` if any prior read failed, OK otherwise.
   Status ExpectOk(const char* what) const;
   /// Terminal check: ok, no open sections, every body byte consumed.
   Status Finish() const;
 
  private:
-  CheckpointReader(const uint8_t* data, size_t body_end)
-      : data_(data), pos_(kHeaderSize), body_end_(body_end) {}
+  explicit CheckpointReader(ByteReader r) : r_(std::move(r)) {}
 
-  static constexpr size_t kHeaderSize = 5;   // "ICKP" + version byte
-  static constexpr size_t kTrailerSize = 8;  // fnv1a64
-
-  size_t Limit() const { return ends_.empty() ? body_end_ : ends_.back(); }
-  bool Take(size_t n) {
-    if (!ok_ || n > Limit() - pos_) {
-      ok_ = false;
-      return false;
-    }
-    return true;
-  }
-
-  const uint8_t* data_ = nullptr;
-  size_t pos_ = 0;
-  size_t body_end_ = 0;
-  std::vector<size_t> ends_;  // enclosing section end offsets
-  bool ok_ = true;
+  ByteReader r_;
 };
 
 }  // namespace incshrink

@@ -1,6 +1,7 @@
 #include "src/storage/serialization.h"
 
 #include <cstring>
+#include <utility>
 
 #include "src/common/logging.h"
 
@@ -8,135 +9,110 @@ namespace incshrink {
 
 namespace {
 
-constexpr char kMagic[4] = {'I', 'S', 'R', '1'};
+constexpr uint8_t kMagic[4] = {'I', 'S', 'R', '1'};
+constexpr size_t kBlobHeaderBytes = 20;
 
-void AppendU64(std::vector<uint8_t>* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) out->push_back((v >> (8 * i)) & 0xFF);
-}
-
-void AppendU32(std::vector<uint8_t>* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) out->push_back((v >> (8 * i)) & 0xFF);
-}
-
-uint64_t ReadU64(const uint8_t* p) {
-  uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<uint64_t>(p[i]) << (8 * i);
-  return v;
-}
-
-uint32_t ReadU32(const uint8_t* p) {
-  uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= static_cast<uint32_t>(p[i]) << (8 * i);
-  return v;
+/// Parses one ISR1 blob spanning all of `bytes`.
+Result<ShareBlob> ParseBlob(std::span<const uint8_t> bytes) {
+  if (bytes.size() < kBlobHeaderBytes) {
+    return Status::InvalidArgument("blob too short");
+  }
+  ByteReader r(bytes);
+  if (std::memcmp(r.Take(4), kMagic, 4) != 0) {
+    return Status::InvalidArgument("bad magic");
+  }
+  ShareBlob blob;
+  blob.width = r.U64();
+  blob.rows = r.U64();
+  // The payload must hold exactly width*rows words.
+  uint64_t words = 0;
+  switch (CheckMatrixFit(blob.width, blob.rows, 4, r.remaining(), &words)) {
+    case MatrixFit::kZeroWidth:
+      return Status::InvalidArgument("blob dimensions invalid");
+    case MatrixFit::kOverflow:
+      return Status::InvalidArgument("blob dimensions overflow");
+    case MatrixFit::kTooLarge:
+      return Status::InvalidArgument("blob size does not match dimensions");
+    case MatrixFit::kOk:
+      break;
+  }
+  if (r.remaining() != words * 4) {
+    return Status::InvalidArgument("blob size does not match dimensions");
+  }
+  blob.words.resize(words);
+  r.U32Block(blob.words.data(), words);
+  return blob;
 }
 
 }  // namespace
 
-std::vector<uint8_t> SerializeShares(const SharedRows& rows, int server) {
+void AppendShareBlob(ByteWriter* w, const SharedRows& rows, int server) {
   // Only servers 0 and 1 exist; silently mapping any other value onto
   // server 1's shares would hand a caller the wrong half of the secret.
   INCSHRINK_CHECK(server == 0 || server == 1);
-  std::vector<uint8_t> out;
-  out.reserve(20 + rows.size() * rows.width() * 4);
-  for (char c : kMagic) out.push_back(static_cast<uint8_t>(c));
-  AppendU64(&out, rows.width());
-  AppendU64(&out, rows.size());
   const std::vector<Word>& words =
       server == 0 ? rows.shares0() : rows.shares1();
-  for (Word w : words) AppendU32(&out, w);
-  return out;
+  w->Reserve(kBlobHeaderBytes + words.size() * 4);
+  w->Raw(kMagic);
+  w->U64(rows.width());
+  w->U64(rows.size());
+  w->U32Block(words.data(), words.size());
+}
+
+std::vector<uint8_t> SerializeShares(const SharedRows& rows, int server) {
+  ByteWriter w;
+  AppendShareBlob(&w, rows, server);
+  return w.Take();
 }
 
 Result<ShareBlob> ParseShareBlob(const std::vector<uint8_t>& bytes) {
-  if (bytes.size() < 20) return Status::InvalidArgument("blob too short");
-  if (std::memcmp(bytes.data(), kMagic, 4) != 0) {
-    return Status::InvalidArgument("bad magic");
+  return ParseBlob(bytes);
+}
+
+Result<SharedRows> CombineShareBlobs(std::span<const uint8_t> server0,
+                                     std::span<const uint8_t> server1) {
+  INCSHRINK_ASSIGN_OR_RETURN(ShareBlob b0, ParseBlob(server0));
+  INCSHRINK_ASSIGN_OR_RETURN(ShareBlob b1, ParseBlob(server1));
+  if (b0.width != b1.width || b0.rows != b1.rows) {
+    return Status::InvalidArgument("share blobs disagree on dimensions");
   }
-  ShareBlob blob;
-  blob.width = ReadU64(bytes.data() + 4);
-  blob.rows = ReadU64(bytes.data() + 12);
-  // Hostile dimension headers must be rejected with overflow-guarded
-  // arithmetic (mirrors DecodeUploadFrame): width = rows = 2^32 wraps
-  // width*rows to 0, and width = 1, rows = 2^62 wraps the byte count to 0 —
-  // either would slip a blob claiming astronomic dimensions past an
-  // unguarded exact-size check and send CombineShareBlobs indexing out of
-  // bounds. A zero width must not smuggle a nonzero row count through the
-  // words == 0 case for the same reason.
-  if (blob.width == 0 && blob.rows != 0) {
-    return Status::InvalidArgument("blob dimensions invalid");
-  }
-  const uint64_t expected_words = blob.width * blob.rows;
-  if (blob.width != 0 && expected_words / blob.width != blob.rows) {
-    return Status::InvalidArgument("blob dimensions overflow");
-  }
-  const uint64_t payload_bytes = bytes.size() - 20;
-  if (expected_words > payload_bytes / 4 ||
-      payload_bytes != expected_words * 4) {
-    return Status::InvalidArgument("blob size does not match dimensions");
-  }
-  blob.words.reserve(expected_words);
-  for (uint64_t i = 0; i < expected_words; ++i) {
-    blob.words.push_back(ReadU32(bytes.data() + 20 + i * 4));
-  }
-  return blob;
+  return SharedRows(b0.width, std::move(b0.words), std::move(b1.words));
+}
+
+Result<SharedRows> CombineShareBlobs(const std::vector<uint8_t>& server0,
+                                     const std::vector<uint8_t>& server1) {
+  return CombineShareBlobs(std::span<const uint8_t>(server0),
+                           std::span<const uint8_t>(server1));
 }
 
 namespace {
 
-constexpr char kFrameMagic[3] = {'I', 'U', 'F'};
+constexpr uint8_t kFrameMagic[3] = {'I', 'U', 'F'};
 constexpr uint8_t kFrameVersion = 1;
-
-/// Bounds-checked little-endian reader over a frame buffer. Every accessor
-/// flips `ok` to false instead of reading past the end, so truncated frames
-/// fail cleanly.
-struct FrameReader {
-  const uint8_t* data;
-  size_t size;
-  size_t pos = 0;
-  bool ok = true;
-
-  uint64_t U64() {
-    if (pos + 8 > size) {
-      ok = false;
-      return 0;
-    }
-    const uint64_t v = ReadU64(data + pos);
-    pos += 8;
-    return v;
-  }
-  uint32_t U32() {
-    if (pos + 4 > size) {
-      ok = false;
-      return 0;
-    }
-    const uint32_t v = ReadU32(data + pos);
-    pos += 4;
-    return v;
-  }
-};
 
 }  // namespace
 
 std::vector<uint8_t> EncodeUploadFrame(const UploadFrame& frame) {
   const SharedRows& batch = frame.batch;
-  std::vector<uint8_t> out;
-  out.reserve(36 + batch.size() * batch.width() * 8 + frame.arrivals.size() * 24);
-  for (char c : kFrameMagic) out.push_back(static_cast<uint8_t>(c));
-  out.push_back(kFrameVersion);
-  AppendU64(&out, frame.owner_step);
-  AppendU64(&out, batch.width());
-  AppendU64(&out, batch.size());
-  for (Word w : batch.shares0()) AppendU32(&out, w);
-  for (Word w : batch.shares1()) AppendU32(&out, w);
-  AppendU64(&out, frame.arrivals.size());
+  ByteWriter w;
+  w.Reserve(36 + batch.size() * batch.width() * 8 +
+            frame.arrivals.size() * 24);
+  w.Raw(kFrameMagic);
+  w.U8(kFrameVersion);
+  w.U64(frame.owner_step);
+  w.U64(batch.width());
+  w.U64(batch.size());
+  w.U32Block(batch.shares0().data(), batch.shares0().size());
+  w.U32Block(batch.shares1().data(), batch.shares1().size());
+  w.U64(frame.arrivals.size());
   for (const LogicalRecord& rec : frame.arrivals) {
-    AppendU64(&out, rec.step);
-    AppendU32(&out, rec.rid);
-    AppendU32(&out, rec.key);
-    AppendU32(&out, rec.date);
-    AppendU32(&out, rec.payload);
+    w.U64(rec.step);
+    w.U32(rec.rid);
+    w.U32(rec.key);
+    w.U32(rec.date);
+    w.U32(rec.payload);
   }
-  return out;
+  return w.Take();
 }
 
 Result<UploadFrame> DecodeUploadFrame(const std::vector<uint8_t>& bytes) {
@@ -147,87 +123,48 @@ Result<UploadFrame> DecodeUploadFrame(const std::vector<uint8_t>& bytes) {
   if (bytes[3] != kFrameVersion) {
     return Status::InvalidArgument("unsupported frame version");
   }
-  FrameReader r{bytes.data(), bytes.size(), 4};
+  ByteReader r(bytes);
+  r.Take(4);
   UploadFrame frame;
   frame.owner_step = r.U64();
   const uint64_t width = r.U64();
   const uint64_t rows = r.U64();
-  if (!r.ok) return Status::InvalidArgument("truncated frame header");
-  // Reject dimensions whose payload cannot possibly fit in the buffer
-  // before allocating anything (a hostile header must not OOM the server,
-  // and a zero-width header must not smuggle an unbounded row count past
-  // the payload-fit check below).
-  if (width == 0 && rows != 0) {
-    return Status::InvalidArgument("frame dimensions invalid");
+  if (!r.ok()) return Status::InvalidArgument("truncated frame header");
+  // Both share halves must fit before anything is allocated (a hostile
+  // header must not OOM the server).
+  uint64_t words = 0;
+  switch (CheckMatrixFit(width, rows, 8, r.remaining(), &words)) {
+    case MatrixFit::kZeroWidth:
+      return Status::InvalidArgument("frame dimensions invalid");
+    case MatrixFit::kOverflow:
+      return Status::InvalidArgument("frame dimensions overflow");
+    case MatrixFit::kTooLarge:
+      return Status::InvalidArgument("truncated frame share section");
+    case MatrixFit::kOk:
+      break;
   }
-  const uint64_t words = width * rows;
-  if (width != 0 && words / width != rows) {
-    return Status::InvalidArgument("frame dimensions overflow");
-  }
-  if (words > (r.size - r.pos) / 8) {
-    return Status::InvalidArgument("truncated frame share section");
-  }
-  frame.batch = SharedRows(static_cast<size_t>(width));
-  // Zero-row frames skip the scratch buffers entirely: a hostile header can
-  // pair rows = 0 with an astronomic width (words = 0 sails through every
-  // payload-fit check above), and width-sized allocations would turn that
-  // 28-byte frame into a multi-gigabyte allocation.
-  if (rows > 0) {
-    std::vector<Word> share0(words), share1(words);
-    for (uint64_t i = 0; i < words; ++i) share0[i] = r.U32();
-    for (uint64_t i = 0; i < words; ++i) share1[i] = r.U32();
-    std::vector<Word> row0(width), row1(width);
-    for (uint64_t row = 0; row < rows; ++row) {
-      for (uint64_t c = 0; c < width; ++c) {
-        row0[c] = share0[row * width + c];
-        row1[c] = share1[row * width + c];
-      }
-      frame.batch.AppendSharedRow(row0, row1);
-    }
-  }
+  std::vector<Word> share0(words);
+  std::vector<Word> share1(words);
+  r.U32Block(share0.data(), words);
+  r.U32Block(share1.data(), words);
+  frame.batch = SharedRows(width, std::move(share0), std::move(share1));
   const uint64_t num_arrivals = r.U64();
-  if (!r.ok || num_arrivals > (r.size - r.pos) / 24) {
+  if (!r.ok() || !r.Fits(num_arrivals, 24)) {
     return Status::InvalidArgument("truncated frame arrival section");
   }
-  frame.arrivals.reserve(static_cast<size_t>(num_arrivals));
-  for (uint64_t i = 0; i < num_arrivals; ++i) {
-    LogicalRecord rec;
+  frame.arrivals.resize(num_arrivals);
+  for (LogicalRecord& rec : frame.arrivals) {
     rec.step = r.U64();
     rec.rid = r.U32();
     rec.key = r.U32();
     rec.date = r.U32();
     rec.payload = r.U32();
-    frame.arrivals.push_back(rec);
   }
-  if (!r.ok) return Status::InvalidArgument("truncated frame");
-  if (r.pos != r.size) {
+  if (!r.ok()) return Status::InvalidArgument("truncated frame");
+  if (r.remaining() != 0) {
     return Status::InvalidArgument("trailing bytes after frame");
   }
   return frame;
-}
-
-Result<SharedRows> CombineShareBlobs(const std::vector<uint8_t>& server0,
-                                     const std::vector<uint8_t>& server1) {
-  INCSHRINK_ASSIGN_OR_RETURN(const ShareBlob b0, ParseShareBlob(server0));
-  INCSHRINK_ASSIGN_OR_RETURN(const ShareBlob b1, ParseShareBlob(server1));
-  if (b0.width != b1.width || b0.rows != b1.rows) {
-    return Status::InvalidArgument("share blobs disagree on dimensions");
-  }
-  SharedRows rows(b0.width);
-  // Same zero-row hazard as DecodeUploadFrame: a blob claiming rows = 0 with
-  // an astronomic width parses fine (it has no payload to contradict it), so
-  // the width-sized scratch rows must not be allocated for it.
-  if (b0.rows > 0) {
-    std::vector<Word> row0(b0.width), row1(b0.width);
-    for (uint64_t r = 0; r < b0.rows; ++r) {
-      for (uint64_t c = 0; c < b0.width; ++c) {
-        row0[c] = b0.words[r * b0.width + c];
-        row1[c] = b1.words[r * b0.width + c];
-      }
-      rows.AppendSharedRow(row0, row1);
-    }
-  }
-  return rows;
 }
 
 }  // namespace incshrink

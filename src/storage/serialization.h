@@ -1,9 +1,10 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
+#include <span>
 #include <vector>
 
+#include "src/common/bytes.h"
 #include "src/common/result.h"
 #include "src/relational/growing_table.h"
 #include "src/secret/shared_rows.h"
@@ -18,11 +19,13 @@ namespace incshrink {
 /// deliberately share-local so a serialized blob from one server reveals
 /// nothing (it is a uniformly random word stream plus public dimensions).
 ///
-/// Format (little-endian):
+/// Format (little-endian, through the one codec in src/common/bytes.h):
 ///   magic "ISR1" | u64 width | u64 rows | width*rows u32 words
 
 /// Serializes one server's share of `rows` (`server` is 0 or 1).
 std::vector<uint8_t> SerializeShares(const SharedRows& rows, int server);
+/// The same blob, appended to `w` (a checkpoint writes it in place).
+void AppendShareBlob(ByteWriter* w, const SharedRows& rows, int server);
 
 /// Parses a share blob; returns (width, rows, words).
 struct ShareBlob {
@@ -36,6 +39,9 @@ Result<ShareBlob> ParseShareBlob(const std::vector<uint8_t>& bytes);
 /// blobs agree on dimensions.
 Result<SharedRows> CombineShareBlobs(const std::vector<uint8_t>& server0,
                                      const std::vector<uint8_t>& server1);
+/// The same, over borrowed blobs (a checkpoint parses them in place).
+Result<SharedRows> CombineShareBlobs(std::span<const uint8_t> server0,
+                                     std::span<const uint8_t> server1);
 
 // --- Owner upload frames (transport wire format) ---------------------------
 
@@ -51,7 +57,7 @@ Result<SharedRows> CombineShareBlobs(const std::vector<uint8_t>& server0,
 /// would never receive it; it rides the frame so the simulated pipeline
 /// stays a single stream.
 ///
-/// Wire format v1 (little-endian):
+/// Wire format v1 (little-endian, through src/common/bytes.h):
 ///   magic "IUF" | u8 version (1) | u64 owner_step | u64 width | u64 rows |
 ///   rows*width u32 share0 words | rows*width u32 share1 words |
 ///   u64 num_arrivals | per arrival: u64 step, u32 rid, key, date, payload

@@ -1,113 +1,15 @@
 #include <gtest/gtest.h>
 
-#include <cmath>
-
 #include "src/common/stats.h"
 #include "src/core/engine.h"
 #include "src/core/multilevel.h"
 #include "src/core/owner_client.h"
 #include "src/core/upload_policy.h"
 #include "src/dp/allocation.h"
-#include "src/dp/laplace.h"
-#include "src/secret/nparty.h"
 #include "src/workload/generators.h"
 
 namespace incshrink {
 namespace {
-
-// ---------------------------------------------------------------------------
-// (N, N)-secret sharing (Section 8, multi-server extension)
-// ---------------------------------------------------------------------------
-
-class NPartyShareTest : public ::testing::TestWithParam<size_t> {};
-
-TEST_P(NPartyShareTest, RoundTrip) {
-  const size_t n = GetParam();
-  Rng rng(n);
-  for (int i = 0; i < 200; ++i) {
-    const Word x = rng.Next32();
-    const std::vector<Word> shares = ShareWordN(x, n, &rng);
-    ASSERT_EQ(shares.size(), n);
-    EXPECT_EQ(RecoverWordN(shares), x);
-  }
-}
-
-TEST_P(NPartyShareTest, AnyNMinusOneSharesAreUniform) {
-  const size_t n = GetParam();
-  Rng rng(n + 99);
-  // Drop one share; the rest must have unbiased bits for a constant secret.
-  for (size_t dropped = 0; dropped < n; ++dropped) {
-    int64_t bits = 0;
-    const int kTrials = 20000;
-    for (int i = 0; i < kTrials; ++i) {
-      const std::vector<Word> shares = ShareWordN(0xABCD, n, &rng);
-      for (size_t j = 0; j < n; ++j) {
-        if (j != dropped) bits += __builtin_popcount(shares[j]);
-      }
-    }
-    const double per_word =
-        static_cast<double>(bits) / (kTrials * static_cast<double>(n - 1));
-    EXPECT_NEAR(per_word, 16.0, 0.15) << "dropped " << dropped;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Ns, NPartyShareTest, ::testing::Values(2, 3, 5, 8));
-
-TEST(NPartyReshareTest, ReshareInsideMpcRecovers) {
-  Rng rng(5);
-  for (size_t n : {2u, 3u, 6u}) {
-    std::vector<std::vector<Word>> contributions(n);
-    for (auto& c : contributions) {
-      for (size_t j = 0; j + 1 < n; ++j) c.push_back(rng.Next32());
-    }
-    const std::vector<Word> shares = ReshareInsideMpcN(777, contributions);
-    EXPECT_EQ(RecoverWordN(shares), 777u);
-  }
-}
-
-TEST(NPartyReshareTest, OneHonestContributorMasksShares) {
-  // All parties but one use fixed (adversarial) contributions; the honest
-  // party's randomness alone keeps the first n-1 shares unpredictable.
-  Rng honest(9);
-  SampleSet first_share;
-  for (int i = 0; i < 5000; ++i) {
-    std::vector<std::vector<Word>> contributions(3);
-    contributions[0] = {0x11111111, 0x22222222};  // corrupt, constant
-    contributions[1] = {0x33333333, 0x44444444};  // corrupt, constant
-    contributions[2] = {honest.Next32(), honest.Next32()};
-    const std::vector<Word> shares = ReshareInsideMpcN(42, contributions);
-    first_share.Add(static_cast<double>(shares[0]));
-  }
-  EXPECT_NEAR(first_share.Mean() / 2147483647.5, 1.0, 0.05);
-}
-
-TEST(NPartyNoiseTest, JointLaplaceNMatchesDistribution) {
-  Rng rng(11);
-  SampleSet samples;
-  for (int i = 0; i < 40000; ++i) {
-    const std::vector<Word> contributions = {rng.Next32(), rng.Next32(),
-                                             rng.Next32(), rng.Next32()};
-    samples.Add(JointLaplaceN(contributions, 3.0));
-  }
-  EXPECT_NEAR(samples.Mean(), 0.0, 0.12);
-  const double ks =
-      KsDistance(samples, [](double x) { return LaplaceCdf(x, 3.0); });
-  EXPECT_LT(ks, 0.015);
-}
-
-TEST(NPartyNoiseTest, SingleHonestContributionSuffices) {
-  // Three constant (adversarial) contributions + one honest: the noise must
-  // still follow the Laplace distribution.
-  Rng honest(13);
-  SampleSet samples;
-  for (int i = 0; i < 40000; ++i) {
-    samples.Add(JointLaplaceN({0xDEAD, 0xBEEF, 0xCAFE, honest.Next32()},
-                              2.0));
-  }
-  const double ks =
-      KsDistance(samples, [](double x) { return LaplaceCdf(x, 2.0); });
-  EXPECT_LT(ks, 0.015);
-}
 
 // ---------------------------------------------------------------------------
 // Owner upload policies (Section 8, DP-Sync composition)

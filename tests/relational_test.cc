@@ -22,20 +22,6 @@ TEST(SchemaTest, ColumnsAndLookup) {
   EXPECT_EQ(s.IndexOf("missing").status().code(), StatusCode::kNotFound);
 }
 
-TEST(GrowingTableTest, InsertAndSnapshot) {
-  GrowingTable t("sales");
-  t.Insert({1, 10, 100, 5, 0});
-  t.Insert({2, 11, 100, 6, 0});
-  t.Insert({3, 12, 200, 7, 0});
-  EXPECT_EQ(t.size(), 3u);
-  EXPECT_EQ(t.SnapshotSize(1), 1u);
-  EXPECT_EQ(t.SnapshotSize(2), 2u);
-  EXPECT_EQ(t.SnapshotSize(99), 3u);
-  ASSERT_NE(t.FindByKey(100), nullptr);
-  EXPECT_EQ(t.FindByKey(100)->size(), 2u);
-  EXPECT_EQ(t.FindByKey(999), nullptr);
-}
-
 TEST(WindowJoinQueryTest, MatchSemantics) {
   WindowJoinQuery q{0, 10, true};
   LogicalRecord a{1, 1, 7, 100, 0};

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <unordered_map>
+#include <vector>
+
 #include "src/relational/query.h"
 #include "src/workload/generators.h"
 #include "tests/truth_oracle.h"
@@ -80,14 +83,14 @@ TEST(CpdbGeneratorTest, AwardsStayInWindowAndEligibility) {
   for (const auto& v : w.t1) all1.insert(all1.end(), v.begin(), v.end());
   std::vector<LogicalRecord> all2;
   for (const auto& v : w.t2) all2.insert(all2.end(), v.begin(), v.end());
-  GrowingTable idx("alleg");
-  for (const auto& a : all1) idx.Insert(a);
+  std::unordered_map<Word, std::vector<size_t>> idx;
+  for (size_t i = 0; i < all1.size(); ++i) idx[all1[i].key].push_back(i);
   uint32_t checked = 0;
   for (const auto& award : all2) {
-    const auto* hits = idx.FindByKey(award.key);
-    ASSERT_NE(hits, nullptr);
-    ASSERT_EQ(hits->size(), 1u);  // unique officer per allegation
-    const LogicalRecord& alleg = idx.record((*hits)[0]);
+    const auto hits = idx.find(award.key);
+    ASSERT_NE(hits, idx.end());
+    ASSERT_EQ(hits->second.size(), 1u);  // unique officer per allegation
+    const LogicalRecord& alleg = all1[hits->second[0]];
     EXPECT_GE(award.date, alleg.date);
     EXPECT_LE(award.date - alleg.date, 10u);          // window
     EXPECT_LE(award.step, alleg.step + 1);            // eligibility

@@ -116,11 +116,14 @@ fi
 # opaque byte frames and must stay entirely entropy-free — no Rng, no policy
 # state, nothing that could perturb a deterministic run from inside the
 # transport. Anything needing randomness (sharing, policy noise) belongs to
-# the OwnerClient above it.
+# the OwnerClient above it. The byte codec under the IUH1/IUF decoders
+# (src/common/bytes.*) parses the same hostile bytes and obeys the same
+# bans.
+TRANSPORT_PATHS=(src/net src/common/bytes.h src/common/bytes.cc)
 if [ -d src/net ]; then
-  hits=$(grep -rnE '\bRng\b|\brng\b|rng\.|rng->|\bseed\b|Laplace|Uniform\(|Next32|Next64' src/net 2>/dev/null)
+  hits=$(grep -rnE '\bRng\b|\brng\b|rng\.|rng->|\bseed\b|Laplace|Uniform\(|Next32|Next64' "${TRANSPORT_PATHS[@]}" 2>/dev/null)
   if [ -n "$hits" ]; then
-    say "FORBIDDEN randomness in the transport layer (src/net must be entropy-free):"
+    say "FORBIDDEN randomness in the transport layer (src/net and src/common/bytes.* must be entropy-free):"
     echo "$hits"
     fail=1
   fi
@@ -145,7 +148,7 @@ if [ -d src/net ]; then
     '\bnanosleep\s*\('
   )
   for pattern in "${CLOCK_PATTERNS[@]}"; do
-    hits=$(grep -rnE "$pattern" src/net 2>/dev/null | grep -v 'net-timeout-ok')
+    hits=$(grep -rnE "$pattern" "${TRANSPORT_PATHS[@]}" 2>/dev/null | grep -v 'net-timeout-ok')
     if [ -n "$hits" ]; then
       say "FORBIDDEN wall-clock access in the transport layer (pattern: $pattern):"
       echo "$hits"
@@ -154,8 +157,9 @@ if [ -d src/net ]; then
   done
   if [ "$fail" -ne 0 ]; then
     echo
-    say "src/net must stay clock-free; a poll/epoll_wait timeout bound is the"
-    say "only exception and its line must be marked // net-timeout-ok."
+    say "src/net and src/common/bytes.* must stay clock-free; a poll/epoll_wait"
+    say "timeout bound is the only exception and its line must be marked"
+    say "// net-timeout-ok."
   fi
 fi
 
