@@ -22,17 +22,13 @@ MatrixFit CheckMatrixFit(uint64_t width, uint64_t rows, size_t cell_bytes,
 
 std::span<const uint8_t> ByteReader::Bytes() {
   const uint64_t len = U64();
-  if (!ok_ || len > remaining()) {
-    ok_ = false;
-    return {};
-  }
-  const uint8_t* p = Take(static_cast<size_t>(len));
-  return {p, static_cast<size_t>(len)};
+  if (!Fits(len, 1)) return {};
+  return {Take(static_cast<size_t>(len)), static_cast<size_t>(len)};
 }
 
 void ByteReader::U32Block(uint32_t* out, size_t n) {
-  const uint8_t* p = Fits(n, 4) ? Take(n * 4) : nullptr;
-  if (p == nullptr) return;
+  if (!Fits(n, 4)) return;
+  const uint8_t* p = Take(n * 4);
   for (size_t i = 0; i < n; ++i) out[i] = LoadU32(p + 4 * i);
 }
 
