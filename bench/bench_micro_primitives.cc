@@ -164,18 +164,37 @@ void BM_TruncatedNestedLoopJoin(benchmark::State& state) {
 }
 BENCHMARK(BM_TruncatedNestedLoopJoin)->Arg(16)->Arg(64);
 
+/// The predicate a COUNT bench scans with, chosen by its second argument:
+/// 0 = True() (the flag word only), 1 = ColumnEquals (one one-word term),
+/// 2 = ColumnBetween (one two-sided range term).
+ObliviousPredicate CountBenchPredicate(benchmark::State& state) {
+  switch (state.range(1)) {
+    case 1:
+      state.SetLabel("Equals");
+      return ObliviousPredicate::ColumnEquals(kViewKeyCol, 0);
+    case 2:
+      state.SetLabel("Between");
+      return ObliviousPredicate::ColumnBetween(kViewDate2Col, 0, 1u << 20);
+    default:
+      state.SetLabel("True");
+      return ObliviousPredicate::True();
+  }
+}
+
 void BM_ObliviousCountWhere(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
+  const ObliviousPredicate pred = CountBenchPredicate(state);
   Party s0(0, 1), s1(1, 2);
   Protocol2PC proto(&s0, &s1, CostModel::EmpLikeLan());
   Rng rng(7);
   const SharedRows view = RandomViewRows(&rng, n);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(ObliviousCountWhere(
-        &proto, view, kViewIsViewCol, ObliviousPredicate::True()));
+    benchmark::DoNotOptimize(
+        ObliviousCountWhere(&proto, view, kViewIsViewCol, pred));
   }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations() * n));
 }
-BENCHMARK(BM_ObliviousCountWhere)->Arg(1024)->Arg(8192);
+BENCHMARK(BM_ObliviousCountWhere)->ArgsProduct({{1024, 8192}, {0, 1, 2}});
 
 // ---------------------------------------------------------------------------
 // Scalar vs batched (layer-vectorized) primitive throughput
@@ -270,10 +289,10 @@ void BM_ObliviousCountBatched(benchmark::State& state) {
   for (size_t k = 0; k < num_tasks; ++k) {
     tables.push_back(RandomViewRows(&rng, n));
   }
-  const ObliviousPredicate pred = ObliviousPredicate::True();
+  const ObliviousPredicate pred = CountBenchPredicate(state);
   std::vector<CountWhereTask> tasks;
   for (const SharedRows& t : tables) {
-    tasks.push_back({&t, kViewIsViewCol, pred.and_gates_per_row, &pred.eval});
+    tasks.push_back({&t, kViewIsViewCol, &pred});
   }
   std::vector<WordShares> out(tasks.size());
   uint64_t gates = 0;
@@ -288,7 +307,7 @@ void BM_ObliviousCountBatched(benchmark::State& state) {
   state.counters["gates_per_s"] = benchmark::Counter(
       static_cast<double>(gates), benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_ObliviousCountBatched)->Arg(1024)->Arg(8192);
+BENCHMARK(BM_ObliviousCountBatched)->ArgsProduct({{1024, 8192}, {0, 1, 2}});
 
 /// Prints the per-layer batch-size histogram of the n-row sorting network:
 /// the layer structure *is* the batching opportunity (each line is one

@@ -102,6 +102,8 @@ Result<TransformProtocol::StepResult> TransformProtocol::StepFilterImpl(
   std::unordered_set<Word> charged;
   INCSHRINK_RETURN_NOT_OK(ChargeBatch(batch, &charged));
 
+  const ObliviousPredicate pred = ObliviousPredicate::ColumnBetween(
+      kSrcPayloadCol, config_.filter.lo, config_.filter.hi);
   // Per row: range predicate (2 comparisons) + AND with the valid bit +
   // view-row rewiring muxes.
   proto_->AccountAndGates(batch.size() *
@@ -113,9 +115,7 @@ Result<TransformProtocol::StepResult> TransformProtocol::StepFilterImpl(
   std::array<Word, kViewWidth> view{};
   for (size_t r = 0; r < batch.size(); ++r) {
     const std::span<const Word> row = batch.RecoverRowInto(r, buf);
-    const bool keep = (row[kSrcValidCol] & 1) &&
-                      row[kSrcPayloadCol] >= config_.filter.lo &&
-                      row[kSrcPayloadCol] <= config_.filter.hi;
+    const bool keep = (row[kSrcValidCol] & 1) && pred.Matches(row);
     // oblivious-ok: ideal-functionality select — per-row predicate + rewiring
     // mux cost charged above the loop; one fresh-shared view row is appended
     // per input row whether it matches or not

@@ -277,11 +277,13 @@ void Protocol2PC::CountWhereBatch(const CountWhereTask* tasks, size_t count,
   uint64_t gates = 0;
   size_t total_rows = 0;
   for (size_t k = 0; k < count; ++k) {
+    const CountWhereTask& t = tasks[k];
+    INCSHRINK_CHECK_LT(t.flag_col, t.rows->width());
+    INCSHRINK_CHECK(t.pred->FitsWidth(t.rows->width()));
     // Per row: predicate circuit + AND with the flag + ripple-carry
     // accumulate — the exact scalar ObliviousCountWhere charge.
-    gates += tasks[k].rows->size() *
-             (tasks[k].pred_and_gates_per_row + 1 + kWordBits);
-    total_rows += tasks[k].rows->size();
+    gates += t.rows->size() * (t.pred->and_gates_per_row + 1 + kWordBits);
+    total_rows += t.rows->size();
   }
   AccountAndGates(gates);
   if (batch_trace_enabled_) {
@@ -294,18 +296,14 @@ void Protocol2PC::CountWhereBatch(const CountWhereTask* tasks, size_t count,
   DrawReshareMasks(count, batch_masks_.data());
   const auto task = [&](size_t k) {
     const SharedRows& rows = *tasks[k].rows;
+    const ObliviousPredicate& pred = *tasks[k].pred;
     const size_t flag_col = tasks[k].flag_col;
-    const auto* pred = tasks[k].pred;
-    std::vector<Word> scratch(rows.width());
+    const size_t w = rows.width();
+    const Word* s0 = rows.shares0().data();
+    const Word* s1 = rows.shares1().data();
     Word tally = 0;
     for (size_t r = 0; r < rows.size(); ++r) {
-      for (size_t c = 0; c < rows.width(); ++c)
-        scratch[c] = rows.share0_at(r, c) ^ rows.share1_at(r, c);
-      // oblivious-ok: ideal-functionality COUNT — the per-row predicate +
-      // accumulate circuit is charged for every row above; the tally is
-      // re-shared, never revealed
-      if ((scratch[flag_col] & 1) && (pred == nullptr || (*pred)(scratch)))
-        ++tally;
+      tally += pred.FlaggedMatch(s0 + r * w, s1 + r * w, flag_col);
     }
     const Word mask = batch_masks_[k];
     out[k] = WordShares{mask, static_cast<Word>(tally ^ mask)};

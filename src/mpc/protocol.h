@@ -2,20 +2,17 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "src/common/rng.h"
 #include "src/common/thread_pool.h"
 #include "src/mpc/cost_model.h"
 #include "src/mpc/party.h"
+#include "src/mpc/predicate.h"
 #include "src/secret/share.h"
 #include "src/secret/shared_rows.h"
 
 namespace incshrink {
-
-/// Bit width of the ring Z_2^32 used for circuit cost accounting.
-inline constexpr uint64_t kWordBits = 32;
 
 /// One compare-exchange / mux-swap site of a batched submission. Pairs in a
 /// batch must be pairwise disjoint (no row index appears twice), which is
@@ -64,13 +61,12 @@ inline size_t BatchChunkSize(size_t count, int threads) {
 }
 
 /// One batched COUNT task: count rows of `*rows` whose `flag_col` low bit is
-/// set and that satisfy `pred` (null accepts everything). The equivalent
-/// per-row predicate circuit is `pred_and_gates_per_row` AND gates.
+/// set and that satisfy `*pred`, whose `and_gates_per_row` is the per-row
+/// predicate circuit. Both must outlive the CountWhereBatch call.
 struct CountWhereTask {
   const SharedRows* rows = nullptr;
   size_t flag_col = 0;
-  uint64_t pred_and_gates_per_row = 0;
-  const std::function<bool(const std::vector<Word>&)>* pred = nullptr;
+  const ObliviousPredicate* pred = nullptr;
 };
 
 /// One entry of the (opt-in) batch trace: a batched submission recorded as a
@@ -391,7 +387,10 @@ class Protocol2PC {
 
   /// Batched oblivious COUNT: evaluates `count` CountWhereTasks with one
   /// aggregate accounting event; `out[k]` receives task k's fresh sharing.
-  /// Bit-identical to per-task ObliviousCountWhere in task order. Tasks
+  /// Bit-identical to per-task ObliviousCountWhere in task order. Each row
+  /// is charged its predicate circuit + the AND with the flag + a
+  /// ripple-carry accumulate, and the scan decodes only the flag word and
+  /// the predicate's term columns, accumulating without a branch. Tasks
   /// vary in size, so `exec.min_parallel_ops` is measured in total scanned
   /// rows here (parallelism itself is per task).
   void CountWhereBatch(const CountWhereTask* tasks, size_t count,

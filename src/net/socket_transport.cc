@@ -250,12 +250,14 @@ void SocketListener::DeliverBuffered(Conn* conn) {
     }
     if (!*got) break;  // need more bytes
     if (options_.validate_frames) {
-      // The payload decoder is the bounds-checked DecodeUploadFrame: any
-      // truncation, hostile dimension header or trailing garbage surfaces
-      // here as a Status and costs the peer its connection.
-      const Result<UploadFrame> decoded = DecodeUploadFrame(frame.payload);
-      if (!decoded.ok()) {
-        RejectConn(conn, decoded.status());
+      // The payload parser is the bounds-checked IUF ParseUploadFrame, run
+      // without a destination (nothing is allocated; the engine decodes at
+      // drain): any truncation, hostile dimension header or trailing
+      // garbage surfaces here as a Status and costs the peer its
+      // connection.
+      const Status valid = ParseUploadFrame(frame.payload, nullptr);
+      if (!valid.ok()) {
+        RejectConn(conn, valid);
         return;
       }
     }

@@ -24,11 +24,11 @@ namespace incshrink {
 /// Threat model: the listener trusts nothing it reads. Every byte goes
 /// through the bounds-checked FrameAssembler (envelope hardening: length
 /// limits, strictly consecutive sequence stamps) and — by default — the
-/// bounds-checked DecodeUploadFrame (payload hardening: hostile dimension
-/// headers, truncations), so a malformed peer costs one closed connection
-/// and a public reject counter, never a crash, an OOM or an out-of-bounds
-/// read. Connections are isolated: one hostile or dead owner cannot perturb
-/// another tenant's stream.
+/// bounds-checked IUF parser ParseUploadFrame (payload hardening: hostile
+/// dimension headers, truncations), so a malformed peer costs one closed
+/// connection and a public reject counter, never a crash, an OOM or an
+/// out-of-bounds read. Connections are isolated: one hostile or dead owner
+/// cannot perturb another tenant's stream.
 ///
 /// Determinism contract: this layer moves opaque bytes and counts public
 /// events; it draws no randomness and never reads a clock
@@ -51,9 +51,10 @@ struct SocketListenerOptions {
   /// Upper bound on a single frame payload; a hostile length prefix beyond
   /// this is rejected before any allocation.
   uint32_t max_frame_bytes = 1u << 20;
-  /// Decode every payload with DecodeUploadFrame before delivery, rejecting
-  /// malformed/hostile frames at the door. Costs one decode per frame;
-  /// disable only for trusted in-process benchmarking of raw byte movement.
+  /// Check every payload with ParseUploadFrame (no destination) before
+  /// delivery, rejecting malformed/hostile frames at the door. Costs one
+  /// allocation-free walk per frame; disable only for trusted in-process
+  /// benchmarking of raw byte movement.
   bool validate_frames = true;
   /// Use epoll(7) when available (Linux); false forces the portable poll(2)
   /// path (also used automatically on non-Linux platforms).

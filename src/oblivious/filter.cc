@@ -4,63 +4,21 @@
 
 namespace incshrink {
 
-ObliviousPredicate ObliviousPredicate::True() {
-  return ObliviousPredicate{[](const std::vector<Word>&) { return true; }, 0};
-}
-
-ObliviousPredicate ObliviousPredicate::ColumnLess(size_t col, Word value) {
-  return ObliviousPredicate{
-      [col, value](const std::vector<Word>& row) { return row[col] < value; },
-      kWordBits};
-}
-
-ObliviousPredicate ObliviousPredicate::ColumnGreaterEq(size_t col,
-                                                       Word value) {
-  return ObliviousPredicate{
-      [col, value](const std::vector<Word>& row) { return row[col] >= value; },
-      kWordBits};
-}
-
-ObliviousPredicate ObliviousPredicate::ColumnEquals(size_t col, Word value) {
-  return ObliviousPredicate{
-      [col, value](const std::vector<Word>& row) { return row[col] == value; },
-      kWordBits};
-}
-
-ObliviousPredicate ObliviousPredicate::ColumnBetween(size_t col, Word lo,
-                                                     Word hi) {
-  return ObliviousPredicate{[col, lo, hi](const std::vector<Word>& row) {
-                              return row[col] >= lo && row[col] <= hi;
-                            },
-                            2 * kWordBits + 1};
-}
-
-ObliviousPredicate ObliviousPredicate::AndThen(ObliviousPredicate a,
-                                               ObliviousPredicate b) {
-  auto eval_a = std::move(a.eval);
-  auto eval_b = std::move(b.eval);
-  return ObliviousPredicate{
-      [eval_a, eval_b](const std::vector<Word>& row) {
-        return eval_a(row) && eval_b(row);
-      },
-      a.and_gates_per_row + b.and_gates_per_row + 1};
-}
-
 void ObliviousSelect(Protocol2PC* proto, SharedRows* rows, size_t flag_col,
                      const ObliviousPredicate& pred) {
-  INCSHRINK_CHECK_LT(flag_col, rows->width());
+  const size_t w = rows->width();
+  INCSHRINK_CHECK_LT(flag_col, w);
+  INCSHRINK_CHECK(pred.FitsWidth(w));
   const size_t n = rows->size();
   // Per row: predicate circuit + one AND with the existing flag bit.
   proto->AccountAndGates(n * (pred.and_gates_per_row + 1));
+  const Word* s0 = rows->shares0().data();
+  const Word* s1 = rows->shares1().data();
   for (size_t r = 0; r < n; ++r) {
-    const std::vector<Word> row = rows->RecoverRow(r);
-    // oblivious-ok: ideal-functionality select — the predicate + AND circuit
-    // is charged for every row above; the flag is rewritten with a fresh
-    // sharing for every row, match or not
-    const Word keep = (row[flag_col] & 1) && pred.eval(row) ? 1 : 0;
-    const WordShares fresh =
-        ShareWord(keep, proto->internal_rng());
-    proto->SetRowWord(rows, r, flag_col, fresh);
+    // Row r's flag is rewritten only after its own select bit is read.
+    const Word keep = pred.FlaggedMatch(s0 + r * w, s1 + r * w, flag_col);
+    proto->SetRowWord(rows, r, flag_col,
+                      ShareWord(keep, proto->internal_rng()));
   }
 }
 
@@ -70,8 +28,7 @@ WordShares ObliviousCountWhere(Protocol2PC* proto, const SharedRows& rows,
   // Single-task submission of the batched COUNT primitive: one aggregate
   // accounting event, one fresh-share draw — bit-identical to the old
   // per-call path (same gate charge, same ShareWord mask sequence).
-  const CountWhereTask task{&rows, flag_col, pred.and_gates_per_row,
-                            &pred.eval};
+  const CountWhereTask task{&rows, flag_col, &pred};
   WordShares out;
   proto->CountWhereBatch(&task, 1, &out);
   return out;

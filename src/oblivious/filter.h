@@ -1,46 +1,22 @@
 #pragma once
 
-#include <cstdint>
-#include <functional>
-#include <vector>
-
 #include "src/mpc/protocol.h"
 #include "src/secret/shared_rows.h"
 
 namespace incshrink {
 
-/// \brief A predicate evaluated inside the 2PC protocol.
-///
-/// `eval` receives the recovered plaintext row (ideal-functionality view) and
-/// returns whether it satisfies the predicate; `and_gates_per_row` is the
-/// size of the equivalent Boolean circuit, charged once per row so the cost
-/// accounting matches a real garbled-circuit evaluation.
-struct ObliviousPredicate {
-  std::function<bool(const std::vector<Word>&)> eval;
-  uint64_t and_gates_per_row = 2 * kWordBits;
-
-  /// Predicate that accepts every row (zero circuit cost).
-  static ObliviousPredicate True();
-
-  /// row[col] <=> value comparisons against a public constant.
-  static ObliviousPredicate ColumnLess(size_t col, Word value);
-  static ObliviousPredicate ColumnGreaterEq(size_t col, Word value);
-  static ObliviousPredicate ColumnEquals(size_t col, Word value);
-
-  /// lo <= row[col] <= hi.
-  static ObliviousPredicate ColumnBetween(size_t col, Word lo, Word hi);
-
-  /// Conjunction of two predicates (costs are additive plus one AND gate).
-  static ObliviousPredicate AndThen(ObliviousPredicate a,
-                                    ObliviousPredicate b);
-};
+// Both operators take an ObliviousPredicate (src/mpc/predicate.h): a closed
+// conjunction of column-range terms with a per-term circuit cost.
 
 /// \brief Oblivious selection (paper Appendix A.1.1).
 ///
 /// Returns all input rows with `flag_col` rewritten to
 /// `old_flag AND predicate(row)`; rows failing the predicate become dummy
 /// tuples. The output size equals the input size, so selection leaks nothing
-/// beyond the public cardinality. Every flag word is re-shared.
+/// beyond the public cardinality. Every flag word is re-shared, one fresh
+/// sharing per row in row order; each row is charged the predicate circuit
+/// plus one AND with its flag, and only the flag and term columns are
+/// decoded.
 void ObliviousSelect(Protocol2PC* proto, SharedRows* rows, size_t flag_col,
                      const ObliviousPredicate& pred);
 

@@ -11,6 +11,9 @@ namespace incshrink {
 /// (2,2)-secret sharing operates over (Section 3).
 using Word = uint32_t;
 
+/// Bit width of the ring Z_2^32 used for circuit cost accounting.
+inline constexpr uint64_t kWordBits = 32;
+
 /// \brief A logical pair of XOR shares of one ring element.
 ///
 /// Physically the two components live on different servers; this struct is

@@ -89,6 +89,8 @@ namespace {
 
 constexpr uint8_t kFrameMagic[3] = {'I', 'U', 'F'};
 constexpr uint8_t kFrameVersion = 1;
+/// u64 step + u32 rid, key, date, payload.
+constexpr size_t kArrivalBytes = 24;
 
 }  // namespace
 
@@ -96,7 +98,7 @@ std::vector<uint8_t> EncodeUploadFrame(const UploadFrame& frame) {
   const SharedRows& batch = frame.batch;
   ByteWriter w;
   w.Reserve(36 + batch.size() * batch.width() * 8 +
-            frame.arrivals.size() * 24);
+            frame.arrivals.size() * kArrivalBytes);
   w.Raw(kFrameMagic);
   w.U8(kFrameVersion);
   w.U64(frame.owner_step);
@@ -115,7 +117,7 @@ std::vector<uint8_t> EncodeUploadFrame(const UploadFrame& frame) {
   return w.Take();
 }
 
-Result<UploadFrame> DecodeUploadFrame(const std::vector<uint8_t>& bytes) {
+Status ParseUploadFrame(std::span<const uint8_t> bytes, UploadFrame* out) {
   if (bytes.size() < 4) return Status::InvalidArgument("frame too short");
   if (std::memcmp(bytes.data(), kFrameMagic, 3) != 0) {
     return Status::InvalidArgument("bad frame magic");
@@ -125,8 +127,7 @@ Result<UploadFrame> DecodeUploadFrame(const std::vector<uint8_t>& bytes) {
   }
   ByteReader r(bytes);
   r.Take(4);
-  UploadFrame frame;
-  frame.owner_step = r.U64();
+  const uint64_t owner_step = r.U64();
   const uint64_t width = r.U64();
   const uint64_t rows = r.U64();
   if (!r.ok()) return Status::InvalidArgument("truncated frame header");
@@ -143,27 +144,42 @@ Result<UploadFrame> DecodeUploadFrame(const std::vector<uint8_t>& bytes) {
     case MatrixFit::kOk:
       break;
   }
-  std::vector<Word> share0(words);
-  std::vector<Word> share1(words);
-  r.U32Block(share0.data(), words);
-  r.U32Block(share1.data(), words);
-  frame.batch = SharedRows(width, std::move(share0), std::move(share1));
+  if (out != nullptr) {
+    out->owner_step = owner_step;
+    std::vector<Word> share0(words);
+    std::vector<Word> share1(words);
+    r.U32Block(share0.data(), words);
+    r.U32Block(share1.data(), words);
+    out->batch = SharedRows(width, std::move(share0), std::move(share1));
+  } else {
+    r.Take(words * 8);
+  }
   const uint64_t num_arrivals = r.U64();
-  if (!r.ok() || !r.Fits(num_arrivals, 24)) {
+  if (!r.ok() || !r.Fits(num_arrivals, kArrivalBytes)) {
     return Status::InvalidArgument("truncated frame arrival section");
   }
-  frame.arrivals.resize(num_arrivals);
-  for (LogicalRecord& rec : frame.arrivals) {
-    rec.step = r.U64();
-    rec.rid = r.U32();
-    rec.key = r.U32();
-    rec.date = r.U32();
-    rec.payload = r.U32();
+  if (out != nullptr) {
+    out->arrivals.resize(num_arrivals);
+    for (LogicalRecord& rec : out->arrivals) {
+      rec.step = r.U64();
+      rec.rid = r.U32();
+      rec.key = r.U32();
+      rec.date = r.U32();
+      rec.payload = r.U32();
+    }
+  } else {
+    r.Take(num_arrivals * kArrivalBytes);
   }
   if (!r.ok()) return Status::InvalidArgument("truncated frame");
   if (r.remaining() != 0) {
     return Status::InvalidArgument("trailing bytes after frame");
   }
+  return Status::OK();
+}
+
+Result<UploadFrame> DecodeUploadFrame(const std::vector<uint8_t>& bytes) {
+  UploadFrame frame;
+  INCSHRINK_RETURN_NOT_OK(ParseUploadFrame(bytes, &frame));
   return frame;
 }
 

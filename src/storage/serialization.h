@@ -73,9 +73,17 @@ struct UploadFrame {
 /// Serializes a frame into its wire bytes.
 std::vector<uint8_t> EncodeUploadFrame(const UploadFrame& frame);
 
-/// Parses wire bytes back into a frame. Any truncation, bad magic, unknown
-/// version or dimension mismatch returns an InvalidArgument Status — never
-/// crashes — so a malformed peer cannot take the server down.
+/// The one IUF parser. Any truncation, bad magic, unknown version or
+/// dimension mismatch returns an InvalidArgument Status — never crashes —
+/// so a malformed peer cannot take the server down. With `out` set, the
+/// frame is decoded into it (left unspecified on error); with `out` null,
+/// the share and arrival sections are only bounds-checked and skipped, so
+/// validation allocates nothing and returns exactly the Status decoding
+/// would.
+Status ParseUploadFrame(std::span<const uint8_t> bytes, UploadFrame* out);
+
+/// Decodes wire bytes into a new frame (ParseUploadFrame with a
+/// destination).
 Result<UploadFrame> DecodeUploadFrame(const std::vector<uint8_t>& bytes);
 
 }  // namespace incshrink

@@ -139,15 +139,15 @@ TEST(RewriteTest, PredicatesMatchViewColumns) {
   std::vector<Word> row(kViewWidth, 0);
   row[kViewKeyCol] = 42;
   row[kViewDate2Col] = 100;
-  EXPECT_TRUE(RewriteToViewPredicate(AnalystQuery::CountAll()).eval(row));
+  EXPECT_TRUE(RewriteToViewPredicate(AnalystQuery::CountAll()).Matches(row));
+  EXPECT_TRUE(RewriteToViewPredicate(AnalystQuery::CountDateRange(50, 150))
+                  .Matches(row));
+  EXPECT_FALSE(RewriteToViewPredicate(AnalystQuery::CountDateRange(101, 150))
+                   .Matches(row));
   EXPECT_TRUE(
-      RewriteToViewPredicate(AnalystQuery::CountDateRange(50, 150)).eval(row));
+      RewriteToViewPredicate(AnalystQuery::CountKeyEquals(42)).Matches(row));
   EXPECT_FALSE(
-      RewriteToViewPredicate(AnalystQuery::CountDateRange(101, 150)).eval(row));
-  EXPECT_TRUE(
-      RewriteToViewPredicate(AnalystQuery::CountKeyEquals(42)).eval(row));
-  EXPECT_FALSE(
-      RewriteToViewPredicate(AnalystQuery::CountKeyEquals(43)).eval(row));
+      RewriteToViewPredicate(AnalystQuery::CountKeyEquals(43)).Matches(row));
 }
 
 }  // namespace

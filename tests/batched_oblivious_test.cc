@@ -273,20 +273,28 @@ TEST(BatchedScalarEquivalenceTest, CountWhereBatchMatchesPerTaskCounts) {
   for (const size_t n : {0u, 17u, 64u, 129u}) {
     tables.push_back(RandomViewRows(&data_rng, n));
   }
-  const ObliviousPredicate pred = ObliviousPredicate::True();
+  // Every table under every predicate shape: zero terms, one- and
+  // two-sided ranges, an empty range and a two-term conjunction.
+  using P = ObliviousPredicate;
+  const std::vector<P> preds = {
+      P::True(),
+      P::ColumnEquals(kViewKeyCol, 5),
+      P::ColumnBetween(kViewKeyCol, 10, 60),
+      P::ColumnLess(kViewKeyCol, 0),
+      P::AndThen(P::ColumnGreaterEq(kViewKeyCol, 3),
+                 P::ColumnLess(kViewKeyCol, 50))};
   std::vector<CountWhereTask> tasks;
   for (const SharedRows& t : tables) {
-    tasks.push_back(
-        {&t, kViewIsViewCol, pred.and_gates_per_row, &pred.eval});
+    for (const P& pred : preds) tasks.push_back({&t, kViewIsViewCol, &pred});
   }
 
   for (const int threads : {1, 2, 8}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     ProtoPair scalar;
     std::vector<WordShares> want;
-    for (const SharedRows& t : tables) {
+    for (const CountWhereTask& t : tasks) {
       want.push_back(
-          ObliviousCountWhere(&scalar.proto, t, kViewIsViewCol, pred));
+          ObliviousCountWhere(&scalar.proto, *t.rows, t.flag_col, *t.pred));
     }
     ProtoPair batched;
     ThreadPool pool(threads);
@@ -301,6 +309,7 @@ TEST(BatchedScalarEquivalenceTest, CountWhereBatchMatchesPerTaskCounts) {
           << "task " << k;
     }
     ExpectStatsEqual(scalar.proto.Snapshot(), batched.proto.Snapshot());
+    ExpectStreamsEqual(&scalar.proto, &batched.proto);
   }
 }
 

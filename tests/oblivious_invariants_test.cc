@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/core/fleet.h"
@@ -88,38 +89,89 @@ TEST(ObliviousInvariantsTest, SortTraceIndependentOfData) {
 // Selection / count
 // ---------------------------------------------------------------------------
 
+/// Every predicate constructor, two empty ranges and a two-term
+/// conjunction: none of them may make the trace depend on the data.
+std::vector<std::pair<std::string, ObliviousPredicate>> PredicateShapes() {
+  using P = ObliviousPredicate;
+  return {{"True", P::True()},
+          {"Less", P::ColumnLess(kSrcDateCol, 10)},
+          {"GreaterEq", P::ColumnGreaterEq(kSrcDateCol, 10)},
+          {"Equals", P::ColumnEquals(kSrcKeyCol, 7)},
+          {"Between", P::ColumnBetween(kSrcDateCol, 5, 15)},
+          {"Between(empty)", P::ColumnBetween(kSrcDateCol, 15, 5)},
+          {"Less(empty)", P::ColumnLess(kSrcDateCol, 0)},
+          {"AndThen", P::AndThen(P::ColumnGreaterEq(kSrcDateCol, 3),
+                                 P::ColumnLess(kSrcKeyCol, 32))}};
+}
+
+/// A trace plus where the operator left the resharing stream.
+struct StreamTrace {
+  TraceResult trace;
+  RngState stream;
+};
+
+/// Same stats and same stream position: the operator drew exactly as many
+/// resharing words for one secret input as for the other.
+void ExpectSameStreamTrace(const StreamTrace& a, const StreamTrace& b,
+                           const char* what) {
+  ExpectSameTrace(a.trace, b.trace, what);
+  for (int i = 0; i < 4; ++i) {
+    EXPECT_EQ(a.stream.s[i], b.stream.s[i]) << what << ": stream word " << i;
+  }
+}
+
+/// Runs `op` over `n` fresh source rows drawn from `data_seed` at
+/// `density`, on a protocol whose stream is seeded by `proto_seed`.
+template <typename Op>
+StreamTrace RunOnRows(size_t n, uint64_t proto_seed, uint64_t data_seed,
+                      double density, Op&& op) {
+  Party s0(0, proto_seed), s1(1, proto_seed + 1);
+  Protocol2PC proto(&s0, &s1, CostModel::Free());
+  Rng rng(data_seed);
+  SharedRows rows = MakeSourceRows(n, density, &rng);
+  op(&proto, &rows);
+  return StreamTrace{TraceResult{rows.size(), proto.stats()},
+                     proto.internal_rng()->ExportState()};
+}
+
 TEST(ObliviousInvariantsTest, SelectTraceIndependentOfData) {
   constexpr size_t kN = 80;
-  const ObliviousPredicate pred = ObliviousPredicate::ColumnBetween(
-      kSrcDateCol, 5, 15);
-  auto run = [&](uint64_t seed, double density) {
-    Party s0(0, seed), s1(1, seed + 1);
-    Protocol2PC proto(&s0, &s1, CostModel::Free());
-    Rng rng(seed + 2);
-    SharedRows rows = MakeSourceRows(kN, density, &rng);
-    ObliviousSelect(&proto, &rows, kSrcValidCol, pred);
-    return TraceResult{rows.size(), proto.stats()};
-  };
-  const TraceResult base = run(3, 0.5);
-  ExpectSameTrace(base, run(1234, 0.5), "select(other data)");
-  ExpectSameTrace(base, run(3, 0.0), "select(none match)");
-  ExpectSameTrace(base, run(3, 1.0), "select(all real)");
-  EXPECT_EQ(base.out_rows, kN) << "selection must not shrink its input";
+  for (const auto& [name, pred] : PredicateShapes()) {
+    SCOPED_TRACE(name);
+    const auto select = [&pred](Protocol2PC* proto, SharedRows* rows) {
+      ObliviousSelect(proto, rows, kSrcValidCol, pred);
+    };
+    const StreamTrace base = RunOnRows(kN, 3, 5, 0.5, select);
+    ExpectSameStreamTrace(base, RunOnRows(kN, 3, 1234, 0.5, select),
+                          "select(other data)");
+    ExpectSameStreamTrace(base, RunOnRows(kN, 3, 5, 0.0, select),
+                          "select(none match)");
+    ExpectSameStreamTrace(base, RunOnRows(kN, 3, 5, 1.0, select),
+                          "select(all real)");
+    ExpectSameTrace(base.trace, RunOnRows(kN, 1234, 5, 0.5, select).trace,
+                    "select(other protocol seed)");
+    EXPECT_EQ(base.trace.out_rows, kN)
+        << "selection must not shrink its input";
+  }
 }
 
 TEST(ObliviousInvariantsTest, CountWhereTraceIndependentOfData) {
   constexpr size_t kN = 80;
-  const ObliviousPredicate pred =
-      ObliviousPredicate::ColumnLess(kSrcDateCol, 10);
-  auto run = [&](uint64_t seed, double density) {
-    Party s0(0, seed), s1(1, seed + 1);
-    Protocol2PC proto(&s0, &s1, CostModel::Free());
-    Rng rng(seed + 2);
-    SharedRows rows = MakeSourceRows(kN, density, &rng);
-    (void)ObliviousCountWhere(&proto, rows, kSrcValidCol, pred);
-    return TraceResult{rows.size(), proto.stats()};
-  };
-  ExpectSameTrace(run(7, 0.3), run(1007, 0.9), "count-where");
+  for (const auto& [name, pred] : PredicateShapes()) {
+    SCOPED_TRACE(name);
+    const auto count = [&pred](Protocol2PC* proto, SharedRows* rows) {
+      (void)ObliviousCountWhere(proto, *rows, kSrcValidCol, pred);
+    };
+    const StreamTrace base = RunOnRows(kN, 7, 9, 0.3, count);
+    ExpectSameStreamTrace(base, RunOnRows(kN, 7, 1009, 0.9, count),
+                          "count-where(other data)");
+    ExpectSameStreamTrace(base, RunOnRows(kN, 7, 9, 0.0, count),
+                          "count-where(none real)");
+    ExpectSameStreamTrace(base, RunOnRows(kN, 7, 9, 1.0, count),
+                          "count-where(all real)");
+    ExpectSameTrace(base.trace, RunOnRows(kN, 1007, 9, 0.3, count).trace,
+                    "count-where(other protocol seed)");
+  }
 }
 
 // ---------------------------------------------------------------------------

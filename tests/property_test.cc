@@ -2,11 +2,15 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <functional>
 #include <map>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "src/common/status.h"
+#include "src/common/thread_pool.h"
 #include "src/core/engine.h"
 #include "src/core/owner_client.h"
 #include "src/dp/accountant.h"
@@ -16,6 +20,7 @@
 #include "src/core/transform.h"
 #include "src/mpc/party.h"
 #include "src/oblivious/cache_ops.h"
+#include "src/oblivious/filter.h"
 #include "src/oblivious/formats.h"
 #include "src/oblivious/join.h"
 #include "src/oblivious/sort.h"
@@ -528,6 +533,214 @@ TEST(CompositionPropertyTest, DeploymentBudgetComposes) {
   EXPECT_GT(more.EventLevel(), budget.EventLevel());
   more.max_updates_per_user = 5;
   EXPECT_GT(more.UserLevel(), budget.UserLevel());
+}
+
+// ---------------------------------------------------------------------------
+// Typed predicates against a brute-force reference
+// ---------------------------------------------------------------------------
+
+/// One predicate under test, its brute-force plaintext meaning and the AND
+/// gates the constructor must charge per row.
+struct PredicateCase {
+  std::string name;
+  ObliviousPredicate pred;
+  std::function<bool(const std::vector<Word>&)> ref;
+  uint64_t gates;
+};
+
+constexpr size_t kPredWidth = 4;  // flag word + three data columns
+constexpr size_t kPredFlagCol = 0;
+
+/// Boundary constants: both ends of the ring, both sides of the sign bit
+/// and their neighbours.
+const std::vector<Word> kEdgeWords = {0,           1,          2,
+                                      0x7FFFFFFFu, 0x80000000u, 0xFFFFFFFEu,
+                                      0xFFFFFFFFu};
+
+/// Every constructor over every column and edge constant, empty ranges,
+/// AndThen chains up to the term capacity, and True() on either side of a
+/// conjunction.
+std::vector<PredicateCase> AdversarialPredicates() {
+  using P = ObliviousPredicate;
+  std::vector<PredicateCase> cases;
+  cases.push_back({"True", P::True(),
+                   [](const std::vector<Word>&) { return true; }, 0});
+  for (size_t col = 1; col < kPredWidth; ++col) {
+    const std::string c = std::to_string(col);
+    for (const Word v : kEdgeWords) {
+      const std::string sv = std::to_string(v);
+      cases.push_back({"Less(" + c + "," + sv + ")", P::ColumnLess(col, v),
+                       [col, v](const std::vector<Word>& r) {
+                         return r[col] < v;
+                       },
+                       kWordBits});
+      cases.push_back({"GreaterEq(" + c + "," + sv + ")",
+                       P::ColumnGreaterEq(col, v),
+                       [col, v](const std::vector<Word>& r) {
+                         return r[col] >= v;
+                       },
+                       kWordBits});
+      cases.push_back({"Equals(" + c + "," + sv + ")", P::ColumnEquals(col, v),
+                       [col, v](const std::vector<Word>& r) {
+                         return r[col] == v;
+                       },
+                       kWordBits});
+      for (const Word hi : kEdgeWords) {
+        // Includes every lo > hi pair: an empty range matches nothing.
+        cases.push_back({"Between(" + c + "," + sv + "," +
+                             std::to_string(hi) + ")",
+                         P::ColumnBetween(col, v, hi),
+                         [col, v, hi](const std::vector<Word>& r) {
+                           return r[col] >= v && r[col] <= hi;
+                         },
+                         2 * kWordBits + 1});
+      }
+    }
+  }
+  // Conjunctions: pairwise chains of the single-term cases above, grown
+  // left to right up to ObliviousPredicate::kMaxTerms terms.
+  const size_t singles = cases.size();
+  Rng pick(4242);
+  for (size_t terms = 2; terms <= ObliviousPredicate::kMaxTerms; ++terms) {
+    for (int rep = 0; rep < 24; ++rep) {
+      PredicateCase acc = cases[1 + pick.Uniform(singles - 1)];
+      for (size_t t = 1; t < terms; ++t) {
+        const PredicateCase& next = cases[1 + pick.Uniform(singles - 1)];
+        const auto left = acc.ref;
+        const auto right = next.ref;
+        acc = {acc.name + "&" + next.name, P::AndThen(acc.pred, next.pred),
+               [left, right](const std::vector<Word>& r) {
+                 return left(r) && right(r);
+               },
+               acc.gates + next.gates + 1};
+      }
+      cases.push_back(acc);
+    }
+  }
+  const PredicateCase& any = cases[singles - 1];
+  cases.push_back({"True&" + any.name, P::AndThen(P::True(), any.pred),
+                   any.ref, any.gates + 1});
+  cases.push_back({any.name + "&True", P::AndThen(any.pred, P::True()),
+                   any.ref, any.gates + 1});
+  return cases;
+}
+
+/// Rows whose flag words carry random high bits (only bit 0 is the flag)
+/// and whose data words sit on and around the edge constants.
+SharedRows AdversarialRows(Rng* rng, size_t n) {
+  SharedRows rows(kPredWidth);
+  std::vector<Word> row(kPredWidth);
+  for (size_t i = 0; i < n; ++i) {
+    row[kPredFlagCol] = (rng->Next32() & ~1u) | rng->Uniform(2);
+    for (size_t c = 1; c < kPredWidth; ++c) {
+      row[c] = rng->Uniform(4) == 0
+                   ? rng->Next32()
+                   : kEdgeWords[rng->Uniform(kEdgeWords.size())];
+    }
+    rows.AppendSecretRow(row, rng);
+  }
+  return rows;
+}
+
+uint64_t BruteForceCount(const SharedRows& rows, const PredicateCase& pc) {
+  uint64_t count = 0;
+  for (size_t r = 0; r < rows.size(); ++r) {
+    const std::vector<Word> row = rows.RecoverRow(r);
+    if ((row[kPredFlagCol] & 1) && pc.ref(row)) ++count;
+  }
+  return count;
+}
+
+TEST(TypedPredicatePropertyTest, EveryConstructorMatchesBruteForce) {
+  Rng data(77);
+  const SharedRows rows = AdversarialRows(&data, 96);
+  for (const PredicateCase& pc : AdversarialPredicates()) {
+    SCOPED_TRACE(pc.name);
+    EXPECT_EQ(pc.pred.and_gates_per_row, pc.gates);
+    for (size_t r = 0; r < rows.size(); ++r) {
+      const std::vector<Word> row = rows.RecoverRow(r);
+      ASSERT_EQ(pc.pred.Matches(row), pc.ref(row)) << "row " << r;
+    }
+    Party s0(0, 5), s1(1, 6);
+    Protocol2PC proto(&s0, &s1, CostModel::EmpLikeLan());
+    const CircuitStats before = proto.Snapshot();
+    const WordShares count =
+        ObliviousCountWhere(&proto, rows, kPredFlagCol, pc.pred);
+    EXPECT_EQ(proto.RecoverInside(count), BruteForceCount(rows, pc));
+    EXPECT_EQ(proto.StatsSince(before).and_gates,
+              rows.size() * (pc.gates + 1 + kWordBits));
+
+    SharedRows selected = rows;
+    ObliviousSelect(&proto, &selected, kPredFlagCol, pc.pred);
+    for (size_t r = 0; r < rows.size(); ++r) {
+      const std::vector<Word> row = rows.RecoverRow(r);
+      const Word want = (row[kPredFlagCol] & 1) && pc.ref(row) ? 1 : 0;
+      ASSERT_EQ(selected.RecoverAt(r, kPredFlagCol), want) << "row " << r;
+      for (size_t c = 1; c < kPredWidth; ++c) {
+        ASSERT_EQ(selected.RecoverAt(r, c), row[c]) << "row " << r;
+      }
+    }
+  }
+}
+
+TEST(TypedPredicatePropertyTest, MixedBatchMatchesPerTaskCountsAtAnyThreads) {
+  Rng data(78);
+  std::vector<SharedRows> tables;
+  for (const size_t n : {0u, 1u, 31u, 96u, 200u}) {
+    tables.push_back(AdversarialRows(&data, n));
+  }
+  const std::vector<PredicateCase> cases = AdversarialPredicates();
+  // Every predicate once, each over the next table in turn: one batch mixes
+  // all constructors, term counts and table sizes.
+  std::vector<CountWhereTask> tasks;
+  for (size_t k = 0; k < cases.size(); ++k) {
+    tasks.push_back(
+        {&tables[k % tables.size()], kPredFlagCol, &cases[k].pred});
+  }
+  for (const int threads : {1, 2, 8}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    Party a0(0, 31), a1(1, 32);
+    Protocol2PC scalar(&a0, &a1, CostModel::EmpLikeLan());
+    std::vector<WordShares> want;
+    for (const CountWhereTask& t : tasks) {
+      want.push_back(ObliviousCountWhere(&scalar, *t.rows, t.flag_col,
+                                         *t.pred));
+    }
+    Party b0(0, 31), b1(1, 32);
+    Protocol2PC batched(&b0, &b1, CostModel::EmpLikeLan());
+    ThreadPool pool(threads);
+    std::vector<WordShares> got(tasks.size());
+    batched.CountWhereBatch(tasks.data(), tasks.size(), got.data(),
+                            BatchExec{&pool, 1});
+    for (size_t k = 0; k < tasks.size(); ++k) {
+      ASSERT_EQ(got[k], want[k]) << cases[k].name;
+      EXPECT_EQ(batched.RecoverInside(got[k]),
+                BruteForceCount(*tasks[k].rows, cases[k]))
+          << cases[k].name;
+    }
+    const CircuitStats sa = scalar.stats();
+    const CircuitStats sb = batched.stats();
+    EXPECT_EQ(sa.and_gates, sb.and_gates);
+    EXPECT_EQ(sa.xor_gates, sb.xor_gates);
+    EXPECT_EQ(sa.bytes, sb.bytes);
+    EXPECT_EQ(sa.rounds, sb.rounds);
+    const RngState ra = scalar.internal_rng()->ExportState();
+    const RngState rb = batched.internal_rng()->ExportState();
+    for (int i = 0; i < 4; ++i) EXPECT_EQ(ra.s[i], rb.s[i]) << "word " << i;
+  }
+}
+
+TEST(TypedPredicatePropertyTest, AndThenPastCapacityAborts) {
+  using P = ObliviousPredicate;
+  P full = P::ColumnEquals(1, 7);
+  for (size_t t = 1; t < P::kMaxTerms; ++t) {
+    full = P::AndThen(full, P::ColumnLess(2, 9));
+  }
+  EXPECT_EQ(full.num_terms, P::kMaxTerms);
+  // True() adds no term, so it still fits; one more term does not.
+  EXPECT_EQ(P::AndThen(full, P::True()).num_terms, P::kMaxTerms);
+  EXPECT_DEATH((void)P::AndThen(full, P::ColumnGreaterEq(3, 1)),
+               "CHECK failed");
 }
 
 }  // namespace

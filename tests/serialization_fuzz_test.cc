@@ -203,12 +203,22 @@ TEST(ShareBlobFuzzTest, CombineOnMutatedPairsNeverCrashes) {
 // DecodeUploadFrame
 // ---------------------------------------------------------------------------
 
+/// Decodes `bytes` and checks that the listener's allocation-free
+/// validation (ParseUploadFrame without a destination) returns exactly the
+/// same Status: same code, same message, same acceptance.
+Result<UploadFrame> DecodeAndValidate(const std::vector<uint8_t>& bytes) {
+  Result<UploadFrame> decoded = DecodeUploadFrame(bytes);
+  const Status validated = ParseUploadFrame(bytes, nullptr);
+  EXPECT_EQ(validated.ToString(), decoded.status().ToString());
+  return decoded;
+}
+
 TEST(UploadFrameFuzzTest, TruncationAtEveryPrefixYieldsStatusOrValid) {
   Rng rng(55);
   const std::vector<uint8_t> frame = SampleFrameBytes(5, &rng);
   for (size_t len = 0; len <= frame.size(); ++len) {
     const std::vector<uint8_t> prefix(frame.begin(), frame.begin() + len);
-    const Result<UploadFrame> parsed = DecodeUploadFrame(prefix);
+    const Result<UploadFrame> parsed = DecodeAndValidate(prefix);
     if (len == frame.size()) {
       ASSERT_TRUE(parsed.ok());
       EXPECT_EQ(parsed->batch.size(), 5u);
@@ -228,7 +238,7 @@ TEST(UploadFrameFuzzTest, SeededBitFlipsNeverCrash) {
       mutated[rng.Uniform(mutated.size())] ^=
           static_cast<uint8_t>(1u << rng.Uniform(8));
     }
-    const Result<UploadFrame> parsed = DecodeUploadFrame(mutated);
+    const Result<UploadFrame> parsed = DecodeAndValidate(mutated);
     if (parsed.ok()) {
       EXPECT_EQ(parsed->batch.width(), kSrcWidth);
     }
@@ -244,7 +254,7 @@ TEST(UploadFrameFuzzTest, HostileDimensionHeaderSweepNeverCrashes) {
       std::vector<uint8_t> mutated = frame;
       PutU64(&mutated, 12, width);
       PutU64(&mutated, 20, rows_claim);
-      const Result<UploadFrame> parsed = DecodeUploadFrame(mutated);
+      const Result<UploadFrame> parsed = DecodeAndValidate(mutated);
       const bool honest = width == kSrcWidth && rows_claim == 3;
       EXPECT_EQ(parsed.ok(), honest)
           << "width=" << width << " rows=" << rows_claim;
@@ -256,7 +266,7 @@ TEST(UploadFrameFuzzTest, HostileDimensionHeaderSweepNeverCrashes) {
   for (uint64_t count : kHostileDims) {
     std::vector<uint8_t> mutated = frame;
     PutU64(&mutated, arrivals_offset, count);
-    const Result<UploadFrame> parsed = DecodeUploadFrame(mutated);
+    const Result<UploadFrame> parsed = DecodeAndValidate(mutated);
     if (parsed.ok()) {
       EXPECT_EQ(parsed->arrivals.size(), count);
     }
@@ -275,7 +285,7 @@ TEST(UploadFrameFuzzTest, ZeroRowAstronomicWidthDoesNotAllocate) {
   bytes[2] = 'F';
   bytes[3] = 1;
   PutU64(&bytes, 12, 1ull << 62);  // width
-  const Result<UploadFrame> parsed = DecodeUploadFrame(bytes);
+  const Result<UploadFrame> parsed = DecodeAndValidate(bytes);
   ASSERT_TRUE(parsed.ok());
   EXPECT_EQ(parsed->batch.size(), 0u);
 
@@ -324,7 +334,7 @@ TEST(UploadFrameFuzzTest, RandomGarbageAndMultiMutationNeverCrash) {
         }
       }
     }
-    const Result<UploadFrame> parsed = DecodeUploadFrame(mutated);
+    const Result<UploadFrame> parsed = DecodeAndValidate(mutated);
     if (parsed.ok()) {
       EXPECT_EQ(parsed->batch.width(), kSrcWidth);
     }
