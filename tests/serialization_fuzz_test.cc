@@ -19,6 +19,7 @@
 #include "src/common/logging.h"
 #include "src/common/rng.h"
 #include "src/core/engine.h"
+#include "src/core/fleet.h"
 #include "src/core/owner_client.h"
 #include "src/net/frame_codec.h"
 #include "src/oblivious/formats.h"
@@ -795,6 +796,133 @@ TEST(IckpFuzzTest, HostileTruthRunsBehindValidChecksumsAreRejected) {
   ASSERT_TRUE(again.ok());
   EXPECT_EQ(before, *again);
   EXPECT_TRUE(victim.RestoreCheckpoint(blob).ok());
+}
+
+/// OWN1/OWN2 payload layout: policy RngState (4 + 1 u64 words and a bool
+/// byte) | queue count u64 | 24-byte queued records | has_svt u8 | ...
+constexpr size_t kRngStateBytes = 41;
+constexpr size_t kQueuedRecordBytes = 24;
+
+constexpr char kOwnerShapeMismatch[] =
+    "snapshot upload-policy shape disagrees with this uploader's config";
+
+/// An envelope blob with one owner section forged behind a re-stamped
+/// checksum, and the InvalidArgument message its restore must return.
+struct OwnerForgery {
+  std::string name;
+  std::vector<uint8_t> blob;
+  std::string message;
+};
+
+/// The four owner-section forgeries of `blob` for each of OWN1 and OWN2:
+/// has_svt = 2, an SVT flag that disagrees with the config, a queue count
+/// of UINT64_MAX, and the last queued record truncated by 4 bytes (with the
+/// section length re-stamped too). The truncated record's last field
+/// swallows the SVT flag, so the flag is read from a shifted byte and the
+/// shape check fires before the section runs out.
+std::vector<OwnerForgery> ForgeOwnerSections(const std::vector<uint8_t>& blob,
+                                             bool has_svt) {
+  std::vector<OwnerForgery> out;
+  for (const uint32_t tag : {CheckpointTag('O', 'W', 'N', '1'),
+                             CheckpointTag('O', 'W', 'N', '2')}) {
+    const std::string owner = tag == CheckpointTag('O', 'W', 'N', '1')
+                                  ? "OWN1 "
+                                  : "OWN2 ";
+    const size_t at = SectionPayloadOffset(blob, tag);
+    const size_t count_at = at + kRngStateBytes;
+    const uint64_t queued = GetU64(blob, count_at);
+    EXPECT_GT(queued, 0u) << owner << "needs a queued record to truncate";
+    const size_t flag_at = count_at + 8 + queued * kQueuedRecordBytes;
+    EXPECT_EQ(blob[flag_at], has_svt ? 1 : 0);
+
+    std::vector<uint8_t> flag2 = blob;
+    flag2[flag_at] = 2;
+    FixupChecksum(&flag2);
+    out.push_back({owner + "has_svt = 2", flag2, kOwnerShapeMismatch});
+
+    std::vector<uint8_t> flipped = blob;
+    flipped[flag_at] = has_svt ? 0 : 1;
+    FixupChecksum(&flipped);
+    out.push_back({owner + "SVT flag disagrees with the config", flipped,
+                   kOwnerShapeMismatch});
+
+    std::vector<uint8_t> huge = blob;
+    PutU64(&huge, count_at, UINT64_MAX);
+    FixupChecksum(&huge);
+    out.push_back({owner + "queue count UINT64_MAX", huge,
+                   "malformed snapshot: owner uploader state"});
+
+    std::vector<uint8_t> cut = blob;
+    cut.erase(cut.begin() + flag_at - 4, cut.begin() + flag_at);
+    PutU64(&cut, at - 8, GetU64(blob, at - 8) - 4);
+    FixupChecksum(&cut);
+    out.push_back({owner + "last record truncated by 4 bytes", cut,
+                   kOwnerShapeMismatch});
+  }
+  return out;
+}
+
+TEST(IckpFuzzTest, HostileOwnerSectionsBehindValidChecksumsAreRejected) {
+  TpcDsParams p;
+  p.steps = 12;
+  p.seed = 9;
+  const GeneratedWorkload w = GenerateTpcDs(p);
+
+  // A deployment whose owners run the DP-ANT (SVT) upload policy with
+  // records still queued.
+  IncShrinkConfig ant = SnapshotFuzzConfig();
+  for (UploadPolicyConfig* policy :
+       {&ant.upload_policy1, &ant.upload_policy2}) {
+    policy->kind = UploadPolicyKind::kDpAntSync;
+    policy->sync_theta = 30;
+  }
+  SynchronousDeployment deployment(ant);
+  ASSERT_TRUE(deployment.Run(w.t1, w.t2).ok());
+  Result<std::vector<uint8_t>> deployment_blob = deployment.SaveCheckpoint();
+  ASSERT_TRUE(deployment_blob.ok());
+
+  // A fleet tenant whose owners run the DP-Timer upload policy (no SVT),
+  // checkpointed between two syncs so its queues are not empty.
+  IncShrinkConfig timer = SnapshotFuzzConfig();
+  for (UploadPolicyConfig* policy :
+       {&timer.upload_policy1, &timer.upload_policy2}) {
+    policy->kind = UploadPolicyKind::kDpTimerSync;
+    policy->sync_interval = 4;
+  }
+  std::vector<DeploymentFleet::TenantSpec> specs(1);
+  specs[0].name = "timer-sync";
+  specs[0].config = timer;
+  specs[0].workload = &w;
+  DeploymentFleet::Options opts;
+  opts.num_threads = 1;
+  DeploymentFleet fleet(specs, opts);
+  for (int r = 0; r < 7; ++r) fleet.StepAll();
+  Result<std::vector<uint8_t>> tenant_blob = fleet.CheckpointTenant(0);
+  ASSERT_TRUE(tenant_blob.ok());
+
+  // Every forgery bounces with its exact status, and the victim still
+  // re-saves the pristine bytes.
+  for (const OwnerForgery& f :
+       ForgeOwnerSections(*deployment_blob, /*has_svt=*/true)) {
+    const Status st = deployment.RestoreCheckpoint(f.blob);
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << f.name;
+    EXPECT_EQ(st.message(), f.message) << f.name;
+    Result<std::vector<uint8_t>> again = deployment.SaveCheckpoint();
+    ASSERT_TRUE(again.ok());
+    EXPECT_EQ(*deployment_blob, *again) << f.name;
+  }
+  for (const OwnerForgery& f :
+       ForgeOwnerSections(*tenant_blob, /*has_svt=*/false)) {
+    const Status st = fleet.RestoreTenant(0, f.blob);
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << f.name;
+    EXPECT_EQ(st.message(), f.message) << f.name;
+    Result<std::vector<uint8_t>> again = fleet.CheckpointTenant(0);
+    ASSERT_TRUE(again.ok());
+    EXPECT_EQ(*tenant_blob, *again) << f.name;
+  }
+  // The honest blobs still load.
+  EXPECT_TRUE(deployment.RestoreCheckpoint(*deployment_blob).ok());
+  EXPECT_TRUE(fleet.RestoreTenant(0, *tenant_blob).ok());
 }
 
 TEST(IckpFuzzTest, RandomGarbageNeverOpens) {

@@ -1,9 +1,9 @@
 // Pinned wire bytes: the FNV-1a64 of every byte format the system emits —
 // IUF upload frames, ISR1 share blobs, the IUH1 hello and frame envelope,
-// ICKP engine and fleet-tenant snapshots — and of the config fingerprint,
-// each at a fixed seed. A refactor of the codecs underneath these formats
-// must leave every value here unchanged; a deliberate format change updates
-// the value together with the format's version byte.
+// ICKP engine, deployment and fleet-tenant snapshots — and of the config
+// fingerprint, each at a fixed seed. A refactor of the codecs underneath
+// these formats must leave every value here unchanged; a deliberate format
+// change updates the value together with the format's version byte.
 
 #include <gtest/gtest.h>
 
@@ -133,6 +133,32 @@ TEST(WireBytesTest, FleetTenantCheckpoint) {
     EXPECT_EQ(Hash(*blob0), 0x584714e446727790ull) << "coalesce " << coalesce;
     EXPECT_EQ(Hash(*blob1), 0xdd1a2af732592d94ull) << "coalesce " << coalesce;
   }
+}
+
+TEST(WireBytesTest, DeploymentCheckpoint) {
+  // The whole-deployment envelope under the DP-ANT upload policy, with
+  // records still queued on both owners: the SVT branch of the owner
+  // sections and the queued records are in the bytes.
+  TpcDsParams p;
+  p.steps = 24;
+  p.seed = 14;
+  const GeneratedWorkload w = GenerateTpcDs(p);
+  IncShrinkConfig cfg = DefaultTpcDsConfig();
+  cfg.strategy = Strategy::kDpTimer;
+  cfg.timer_T = 4;
+  for (UploadPolicyConfig* policy :
+       {&cfg.upload_policy1, &cfg.upload_policy2}) {
+    policy->kind = UploadPolicyKind::kDpAntSync;
+    policy->eps_sync = 1.0;
+    policy->sync_theta = 12;
+  }
+  SynchronousDeployment d(cfg);
+  ASSERT_TRUE(d.Run(w.t1, w.t2).ok());
+  ASSERT_GT(d.owner1().pending(), 0u);
+  ASSERT_GT(d.owner2().pending(), 0u);
+  Result<std::vector<uint8_t>> blob = d.SaveCheckpoint();
+  ASSERT_TRUE(blob.ok());
+  EXPECT_EQ(Hash(*blob), 0x3c6021bb414f7f0cull);
 }
 
 TEST(WireBytesTest, ConfigFingerprint) {
