@@ -29,8 +29,9 @@ IncShrinkConfig AdjustForStrategy(IncShrinkConfig config) {
 
 // ---------------------------------------------------------------------------
 // ICKP snapshot layout of one engine (src/storage/checkpoint.h). Sections in
-// fixed order; every variable-length list is count-prefixed and decoded under
-// the reader's ok() guard, so hostile counts can never read past a section.
+// fixed order, each written once below as a Visit for both archives; every
+// variable-length list is count-prefixed and decoded under the reader's
+// ok() guard, so hostile counts can never read past a section.
 // ---------------------------------------------------------------------------
 constexpr uint32_t kTagFingerprint = CheckpointTag('C', 'F', 'G', ' ');
 constexpr uint32_t kTagClocks = CheckpointTag('C', 'L', 'K', ' ');
@@ -46,151 +47,194 @@ constexpr uint32_t kTagLogs = CheckpointTag('L', 'O', 'G', 'S');
 constexpr uint32_t kTagChannel1 = CheckpointTag('C', 'H', 'N', '1');
 constexpr uint32_t kTagChannel2 = CheckpointTag('C', 'H', 'N', '2');
 
-/// Store section (ICKP v2): first retained step, lifetime row total, then
-/// the count-prefixed held batches [first_retained, steps).
-void SaveStore(CheckpointWriter* w, uint32_t tag,
-               const OutsourcedTable& store) {
-  w->BeginSection(tag);
-  w->U64(store.first_retained());
-  w->U64(store.total_rows());
-  w->U64(store.steps() - store.first_retained());
-  for (uint64_t s = store.first_retained(); s < store.steps(); ++s) {
-    w->WriteSharedRows(store.batch(s));
-  }
-  w->EndSection();
-}
-
-/// A decoded store section, committed by OutsourcedTable::Restore.
-struct StoreSnapshot {
-  uint64_t first_retained = 0;
-  uint64_t total_rows = 0;
-  std::vector<SharedRows> batches;
+/// CLK: the step clock, drained frames, the filter view's ground truth and
+/// the lifetime real-entry total.
+struct EngineClocks {
+  uint64_t t = 0;
+  uint64_t frames_drained = 0;
+  uint64_t filter_truth = 0;
+  uint64_t total_real_entries = 0;
 };
 
-/// Decodes a store section whose restored clock implies `steps` lifetime
-/// upload steps and the retention floor `floor`; any other first retained
-/// step or batch count is rejected before a batch is read.
-Status LoadStore(CheckpointReader* r, uint32_t tag, uint64_t steps,
-                 uint64_t floor, StoreSnapshot* out) {
-  r->BeginSection(tag);
-  out->first_retained = r->U64();
-  out->total_rows = r->U64();
-  const uint64_t count = r->U64();
-  INCSHRINK_RETURN_NOT_OK(r->ExpectOk("outsourced store header"));
-  if (out->first_retained != floor) {
-    return Status::InvalidArgument(
-        "snapshot store's first retained step is not its clock's floor");
+template <class A>
+void Visit(A& a, FieldRef<A, EngineClocks> c) {
+  a.U64(c.t);
+  a.U64(c.frames_drained);
+  a.U64(c.filter_truth);
+  a.U64(c.total_real_entries);
+}
+
+/// One protocol's randomness: both parties' stream cursors, the protocol's
+/// own stream and its circuit counters. The engine's RNG section, and one
+/// per derived cache-shard protocol.
+struct ProtocolStreams {
+  RngState party0;
+  RngState party1;
+  RngState proto;
+  CircuitStats stats;
+};
+
+template <class A>
+void Visit(A& a, FieldRef<A, ProtocolStreams> s) {
+  Visit(a, s.party0);
+  Visit(a, s.party1);
+  Visit(a, s.proto);
+  Visit(a, s.stats);
+}
+
+ProtocolStreams ExportStreams(Party* p0, Party* p1, Protocol2PC* proto) {
+  return {p0->rng()->ExportState(), p1->rng()->ExportState(),
+          proto->internal_rng()->ExportState(), proto->Snapshot()};
+}
+
+void RestoreStreams(const ProtocolStreams& s, Party* p0, Party* p1,
+                    Protocol2PC* proto) {
+  p0->rng()->RestoreState(s.party0);
+  p1->rng()->RestoreState(s.party1);
+  proto->internal_rng()->RestoreState(s.proto);
+  proto->RestoreStats(s.stats);
+}
+
+template <class A>
+void VisitLedger(
+    A& a, FieldRef<A, std::vector<PrivacyAccountant::LedgerEntry>> ledger) {
+  a.BeginSection(kTagLedger);
+  VisitList(a, ledger, [&](auto& e) {
+    a.U32(e.rid);
+    a.U32(e.charged);
+    a.U32(e.contributed);
+  });
+  a.EndSection();
+  a.Expect("privacy ledger");
+}
+
+/// One cache shard's rows, counter sharing and insertion sequence.
+template <class A>
+void VisitShard(A& a, FieldRef<A, SharedRows> rows,
+                FieldRef<A, WordShares> counter, FieldRef<A, uint64_t> seq) {
+  Visit(a, rows);
+  a.Check(rows.width() == kViewWidth,
+          "snapshot cache shard has the wrong row width");
+  Visit(a, counter);
+  a.U64(seq);
+}
+
+/// CSHD: the FIFO sequence, append cursor and shard count, each shard's
+/// VisitShard through `shard(k)`, a derived-protocol flag and, when set,
+/// each shard's ProtocolStreams through `streams(k)`. The callbacks bind
+/// shard k's fields: the live cache's, or scratch sized to `num_shards`.
+template <class A, class ShardFn, class StreamsFn>
+void VisitCache(A& a, FieldRef<A, uint64_t> seq,
+                FieldRef<A, uint64_t> append_cursor, size_t num_shards,
+                FieldRef<A, bool> derived, bool want_derived,
+                const ShardFn& shard, const StreamsFn& streams) {
+  a.BeginSection(kTagCache);
+  a.U64(seq);
+  a.U64(append_cursor);
+  uint64_t count = num_shards;
+  a.U64(count);
+  a.Expect("sharded cache header");
+  a.Check(count == num_shards,
+          "snapshot shard count disagrees with this engine's configuration");
+  for (uint64_t k = 0; k < count && a.ok(); ++k) shard(k);
+  const uint8_t flag = a.U8(derived);
+  if (derived) {
+    for (uint64_t k = 0; k < count && a.ok(); ++k) streams(k);
   }
-  if (count != steps - floor) {
-    return Status::InvalidArgument(
-        "snapshot store holds the wrong number of batches");
+  a.EndSection();
+  a.Expect("sharded cache");
+  a.Check(flag <= 1 && derived == want_derived,
+          "snapshot cache shape disagrees with this engine's sharding");
+}
+
+/// THTA: the count-prefixed sDPANT threshold sharings, one per shard (none
+/// for other strategies), each through `visit_theta`.
+template <class A, class List, class F>
+void VisitThetas(A& a, List& thetas, const F& visit_theta, size_t num_ants) {
+  a.BeginSection(kTagTheta);
+  VisitList(a, thetas, visit_theta);
+  a.EndSection();
+  a.Expect("ANT thresholds");
+  a.Check(thetas.size() == num_ants,
+          "snapshot strategy state disagrees with this engine's strategy");
+}
+
+template <class A>
+void VisitView(A& a, FieldRef<A, SharedRows> rows) {
+  VisitSection(a, kTagView, rows);
+  a.Expect("materialized view");
+  a.Check(rows.width() == kViewWidth, "snapshot view has the wrong row width");
+}
+
+template <class A>
+void Visit(A& a, FieldRef<A, StepMetrics> m) {
+  a.U64(m.t);
+  a.F64(m.transform_seconds);
+  a.F64(m.shrink_seconds);
+  a.F64(m.query_seconds);
+  a.U64(m.true_count);
+  a.U64(m.view_answer);
+  a.F64(m.l1_error);
+  a.F64(m.relative_error);
+  a.U64(m.view_rows);
+  a.U64(m.cache_rows);
+  const uint8_t synced = a.U8(m.synced);
+  a.U64(m.sync_rows);
+  const uint8_t flushed = a.U8(m.flushed);
+  if (synced > 1 || flushed > 1) {
+    a.Reject(Status::InvalidArgument(
+        "snapshot step metrics carry non-canonical flags"));
   }
-  for (uint64_t s = 0; s < count && r->ok(); ++s) {
-    INCSHRINK_ASSIGN_OR_RETURN(SharedRows batch, r->ReadSharedRows());
-    if (batch.width() != kSrcWidth) {
-      return Status::InvalidArgument(
-          "snapshot store batch has the wrong row width");
-    }
-    out->batches.push_back(std::move(batch));
-  }
-  r->EndSection();
-  return r->ExpectOk("outsourced store");
 }
 
 /// True when a decoded store agrees with its per-step upload-size log: the
 /// lifetime total is the log's sum and each held batch has its logged size.
-bool StoreMatchesLog(const StoreSnapshot& store,
+bool StoreMatchesLog(const OutsourcedTable& store,
                      const std::vector<uint64_t>& log) {
   uint64_t total = 0;
   for (const uint64_t rows : log) {
     if (rows > std::numeric_limits<uint64_t>::max() - total) return false;
     total += rows;
   }
-  if (total != store.total_rows ||
-      store.first_retained + store.batches.size() > log.size()) {
-    return false;
-  }
-  for (size_t i = 0; i < store.batches.size(); ++i) {
-    if (store.batches[i].size() != log[store.first_retained + i]) {
-      return false;
-    }
+  if (total != store.total_rows() || store.steps() > log.size()) return false;
+  for (uint64_t s = store.first_retained(); s < store.steps(); ++s) {
+    if (store.batch(s).size() != log[s]) return false;
   }
   return true;
 }
 
-void SaveChannel(CheckpointWriter* w, uint32_t tag, const UploadChannel& ch) {
-  w->BeginSection(tag);
-  const std::vector<std::vector<uint8_t>> frames = ch.PendingFrames();
-  w->U64(frames.size());
-  for (const std::vector<uint8_t>& frame : frames) w->Bytes(frame);
-  w->U64(ch.frames_pushed());
-  w->U64(ch.frames_popped());
-  w->U64(ch.push_rejects());
-  w->U64(ch.bytes_pushed());
-  w->U64(ch.max_depth());
-  w->EndSection();
-}
-
-/// Decodes a channel section into a scratch channel of this deployment's
-/// capacity; the scratch commits by move-assignment only after every other
-/// snapshot section has validated.
-Status LoadChannel(CheckpointReader* r, uint32_t tag, UploadChannel* scratch) {
-  r->BeginSection(tag);
-  const uint64_t count = r->U64();
-  std::vector<std::vector<uint8_t>> frames;
-  for (uint64_t i = 0; i < count && r->ok(); ++i) {
-    frames.push_back(r->Bytes());
-  }
-  UploadChannel::CounterState counters;
-  counters.frames_pushed = r->U64();
-  counters.frames_popped = r->U64();
-  counters.push_rejects = r->U64();
-  counters.bytes_pushed = r->U64();
-  counters.max_depth = r->U64();
-  r->EndSection();
-  INCSHRINK_RETURN_NOT_OK(r->ExpectOk("upload channel backlog"));
-  return scratch->Restore(std::move(frames), counters);
-}
-
-void SaveMetrics(CheckpointWriter* w, const StepMetrics& m) {
-  w->U64(m.t);
-  w->F64(m.transform_seconds);
-  w->F64(m.shrink_seconds);
-  w->F64(m.query_seconds);
-  w->U64(m.true_count);
-  w->U64(m.view_answer);
-  w->F64(m.l1_error);
-  w->F64(m.relative_error);
-  w->U64(m.view_rows);
-  w->U64(m.cache_rows);
-  w->U8(m.synced ? 1 : 0);
-  w->U64(m.sync_rows);
-  w->U8(m.flushed ? 1 : 0);
-}
-
-/// False on a non-canonical bool byte (hostile snapshot); reader ok-flag
-/// failures surface through the caller's ExpectOk.
-bool LoadMetrics(CheckpointReader* r, StepMetrics* m) {
-  m->t = r->U64();
-  m->transform_seconds = r->F64();
-  m->shrink_seconds = r->F64();
-  m->query_seconds = r->F64();
-  m->true_count = r->U64();
-  m->view_answer = r->U64();
-  m->l1_error = r->F64();
-  m->relative_error = r->F64();
-  m->view_rows = r->U64();
-  m->cache_rows = r->U64();
-  const uint8_t synced = r->U8();
-  m->sync_rows = r->U64();
-  const uint8_t flushed = r->U8();
-  if (synced > 1 || flushed > 1) return false;
-  m->synced = synced == 1;
-  m->flushed = flushed == 1;
-  return true;
-}
+constexpr char kFingerprintWhat[] = "snapshot fingerprint";
+constexpr char kConfigMismatch[] =
+    "snapshot was taken under a different configuration";
 
 }  // namespace
+
+/// LOGS: the per-step metrics, the public transcript, the DP release log,
+/// the per-step real-entry counts and both per-step upload-size logs.
+template <class A>
+void Visit(A& a, FieldRef<A, EngineLogs> logs) {
+  VisitList(a, logs.metrics, [&](auto& m) { Visit(a, m); });
+  VisitList(a, logs.transcript, [&](auto& e) {
+    uint8_t kind = static_cast<uint8_t>(e.kind);
+    a.U8(kind);
+    a.U64(e.t);
+    a.U64(e.rows);
+    a.Check(kind <= static_cast<uint8_t>(TranscriptEvent::Kind::kFlush),
+            "snapshot transcript carries an unknown event kind");
+    if constexpr (A::kRestoring) {
+      e.kind = static_cast<TranscriptEvent::Kind>(kind);
+    }
+  });
+  VisitList(a, logs.releases, [&](auto& rel) {
+    a.U64(rel.t);
+    a.U32(rel.size);
+    a.Check(a.U8(rel.fired) <= 1,
+            "snapshot release log carries non-canonical flags");
+  });
+  VisitList(a, logs.real_entries_per_step, [&](auto& v) { a.U32(v); });
+  VisitList(a, logs.upload_rows_t1, [&](auto& v) { a.U64(v); });
+  VisitList(a, logs.upload_rows_t2, [&](auto& v) { a.U64(v); });
+}
 
 Engine::Engine(const IncShrinkConfig& config)
     : config_(AdjustForStrategy(config)),
@@ -405,9 +449,10 @@ Status Engine::BeginStepImpl() {
     proto_.AccountBytes(up2 * kSrcWidth * sizeof(Word) * 2);
     store2_.AppendBatch(std::move(merged2));
   }
-  upload_rows_t1_log_.push_back(up1);
-  upload_rows_t2_log_.push_back(up2);
-  transcript_.push_back({TranscriptEvent::Kind::kUpload, t_, up1 + up2});
+  logs_.upload_rows_t1.push_back(up1);
+  logs_.upload_rows_t2.push_back(up2);
+  logs_.transcript.push_back(
+      {TranscriptEvent::Kind::kUpload, t_, up1 + up2});
 
   // View maintenance.
   const bool transforms = config_.strategy == Strategy::kDpTimer ||
@@ -419,12 +464,12 @@ Status Engine::BeginStepImpl() {
         const TransformProtocol::StepResult tr,
         transform_.Step(t_, store1_, store2_, &cache_));
     m.transform_seconds = tr.simulated_seconds;
-    real_entries_per_step_.push_back(tr.real_entries);
+    logs_.real_entries_per_step.push_back(tr.real_entries);
     total_real_entries_ += tr.real_entries;
-    transcript_.push_back(
+    logs_.transcript.push_back(
         {TranscriptEvent::Kind::kTransformOut, t_, tr.appended_rows});
   } else {
-    real_entries_per_step_.push_back(0);
+    logs_.real_entries_per_step.push_back(0);
   }
 
   p.release = LeakageRelease{t_, 0, false};
@@ -463,7 +508,7 @@ Status Engine::BeginStepImpl() {
         m.synced = true;
         m.sync_rows = rows;
         m.shrink_seconds += proto_.SimulatedSecondsSince(before);
-        transcript_.push_back({TranscriptEvent::Kind::kSync, t_, rows});
+        logs_.transcript.push_back({TranscriptEvent::Kind::kSync, t_, rows});
       }
       break;
     }
@@ -555,19 +600,19 @@ Status Engine::FinishStep() {
         p.release.size += syncs[k].released_size;
         p.release.fired = true;
         view_.Append(p.staged_sync[k].rows());
-        transcript_.push_back(
+        logs_.transcript.push_back(
             {TranscriptEvent::Kind::kSync, t_, syncs[k].sync_rows});
       }
       if (flushes[k].fired) {
         m.flushed = true;
         m.shrink_seconds += flushes[k].simulated_seconds;
         view_.Append(staged_flush[k].rows());
-        transcript_.push_back(
+        logs_.transcript.push_back(
             {TranscriptEvent::Kind::kFlush, t_, flushes[k].sync_rows});
       }
     }
   }
-  releases_.push_back(p.release);
+  logs_.releases.push_back(p.release);
 
   // Analyst query.
   m.view_answer = AnswerQuery(&m.query_seconds);
@@ -577,7 +622,7 @@ Status Engine::FinishStep() {
       m.l1_error / std::max<double>(1.0, static_cast<double>(m.true_count));
   m.view_rows = view_.size();
   m.cache_rows = cache_.size();
-  metrics_.push_back(m);
+  logs_.metrics.push_back(m);
   pending_.reset();
 
   // Automatic checkpoint slot. Snapshotting draws no randomness, so the run
@@ -611,7 +656,7 @@ uint64_t Engine::StepsToNextPublicRelease() const {
 
 RunSummary Engine::Summary() const {
   RunSummary s;
-  for (const StepMetrics& m : metrics_) {
+  for (const StepMetrics& m : logs_.metrics) {
     s.l1_error.Add(m.l1_error);
     s.relative_error.Add(m.relative_error);
     s.true_count_stat.Add(static_cast<double>(m.true_count));
@@ -625,19 +670,21 @@ RunSummary Engine::Summary() const {
     s.total_mpc_seconds += m.transform_seconds + m.shrink_seconds;
     s.total_query_seconds += m.query_seconds;
   }
-  s.steps = metrics_.size();
+  s.steps = logs_.metrics.size();
   s.final_view_mb = view_.SizeMb();
   s.final_view_rows = view_.size();
   s.final_cache_rows = cache_.size();
   s.total_real_entries_cached = total_real_entries_;
-  if (!metrics_.empty()) s.final_true_count = metrics_.back().true_count;
+  if (!logs_.metrics.empty()) {
+    s.final_true_count = logs_.metrics.back().true_count;
+  }
   return s;
 }
 
 SimulatorPublicParams Engine::MakeSimulatorParams() const {
   SimulatorPublicParams pp;
-  const std::vector<uint64_t> u1 = upload_rows_t1_log_;
-  const std::vector<uint64_t> u2 = upload_rows_t2_log_;
+  const std::vector<uint64_t> u1 = logs_.upload_rows_t1;
+  const std::vector<uint64_t> u2 = logs_.upload_rows_t2;
   pp.upload_rows = [u1, u2](uint64_t t) -> uint64_t {
     if (t < 1 || t > u1.size()) return 0;
     return u1[t - 1] + u2[t - 1];
@@ -685,116 +732,75 @@ uint64_t Engine::AdHocTruth(const AnalystQuery& query) const {
 }
 
 Result<std::vector<uint8_t>> Engine::SaveCheckpoint() {
-  if (pending_ != nullptr) {
-    return Status::FailedPrecondition(
-        "cannot checkpoint between BeginStep and FinishStep");
-  }
   CheckpointWriter w;
-
-  w.BeginSection(kTagFingerprint);
-  w.U64(ConfigFingerprint(config_));
-  w.EndSection();
-
-  w.BeginSection(kTagClocks);
-  w.U64(t_);
-  w.U64(frames_drained_);
-  w.U64(filter_truth_);
-  w.U64(total_real_entries_);
-  w.EndSection();
-
-  w.BeginSection(kTagRandomness);
-  w.WriteRng(s0_.rng()->ExportState());
-  w.WriteRng(s1_.rng()->ExportState());
-  w.WriteRng(proto_.internal_rng()->ExportState());
-  w.WriteStats(proto_.Snapshot());
-  w.EndSection();
-
-  w.BeginSection(kTagLedger);
-  const std::vector<PrivacyAccountant::LedgerEntry> ledger =
-      accountant_.ExportLedger();
-  w.U64(ledger.size());
-  for (const PrivacyAccountant::LedgerEntry& e : ledger) {
-    w.U32(e.rid);
-    w.U32(e.charged);
-    w.U32(e.contributed);
-  }
-  w.EndSection();
-
-  SaveStore(&w, kTagStore1, store1_);
-  SaveStore(&w, kTagStore2, store2_);
-
-  w.BeginSection(kTagCache);
-  w.U64(*cache_.seq());
-  w.U64(cache_.append_cursor());
-  w.U64(cache_.num_shards());
-  for (size_t k = 0; k < cache_.num_shards(); ++k) {
-    w.WriteSharedRows(*cache_.shard(k).rows());
-    w.WriteWordShares(cache_.shard(k).counter());
-    w.U64(cache_.shard(k).seq_value());
-  }
-  const bool derived = cache_.shard_party(0, 0) != nullptr;
-  w.U8(derived ? 1 : 0);
-  if (derived) {
-    for (size_t k = 0; k < cache_.num_shards(); ++k) {
-      w.WriteRng(cache_.shard_party(k, 0)->rng()->ExportState());
-      w.WriteRng(cache_.shard_party(k, 1)->rng()->ExportState());
-      w.WriteRng(cache_.shard_proto(k)->internal_rng()->ExportState());
-      w.WriteStats(cache_.shard_proto(k)->Snapshot());
-    }
-  }
-  w.EndSection();
-
-  w.BeginSection(kTagTheta);
-  w.U64(ants_.size());
-  for (const std::unique_ptr<ShrinkAnt>& ant : ants_) {
-    w.WriteWordShares(ant->shared_theta());
-  }
-  w.EndSection();
-
-  w.BeginSection(kTagView);
-  w.WriteSharedRows(view_.rows());
-  w.EndSection();
-
-  w.BeginSection(kTagTruth);
-  truth_.SaveTo(&w);
-  w.EndSection();
-
-  w.BeginSection(kTagLogs);
-  w.U64(metrics_.size());
-  for (const StepMetrics& m : metrics_) SaveMetrics(&w, m);
-  w.U64(transcript_.size());
-  for (const TranscriptEvent& e : transcript_) {
-    w.U8(static_cast<uint8_t>(e.kind));
-    w.U64(e.t);
-    w.U64(e.rows);
-  }
-  w.U64(releases_.size());
-  for (const LeakageRelease& rel : releases_) {
-    w.U64(rel.t);
-    w.U32(rel.size);
-    w.U8(rel.fired ? 1 : 0);
-  }
-  w.U64(real_entries_per_step_.size());
-  for (const uint32_t v : real_entries_per_step_) w.U32(v);
-  w.U64(upload_rows_t1_log_.size());
-  for (const uint64_t v : upload_rows_t1_log_) w.U64(v);
-  w.U64(upload_rows_t2_log_.size());
-  for (const uint64_t v : upload_rows_t2_log_) w.U64(v);
-  w.EndSection();
-
-  SaveChannel(&w, kTagChannel1, channel1_);
-  SaveChannel(&w, kTagChannel2, channel2_);
-
+  INCSHRINK_RETURN_NOT_OK(SaveSections(w));
   std::vector<uint8_t> blob = w.Finish();
-  if (blob.size() > config_.checkpoint_max_bytes) {
+  INCSHRINK_RETURN_NOT_OK(CheckSnapshotSize(blob.size()));
+  return blob;
+}
+
+Status Engine::SaveCheckpoint(CheckpointWriter* outer) {
+  outer->BeginContainer();
+  const Status saved = SaveSections(*outer);
+  const size_t bytes = outer->EndContainer();
+  INCSHRINK_RETURN_NOT_OK(saved);
+  return CheckSnapshotSize(bytes);
+}
+
+Status Engine::CheckSnapshotSize(size_t bytes) const {
+  if (bytes > config_.checkpoint_max_bytes) {
     return Status::OutOfRange(
         "snapshot exceeds checkpoint_max_bytes; raise the ceiling or "
         "checkpoint a smaller deployment");
   }
-  return blob;
+  return Status::OK();
 }
 
-Status Engine::RestoreCheckpoint(const std::vector<uint8_t>& snapshot) {
+Status Engine::SaveSections(CheckpointWriter& w) {
+  if (pending_ != nullptr) {
+    return Status::FailedPrecondition(
+        "cannot checkpoint between BeginStep and FinishStep");
+  }
+  const uint64_t floor = TransformProtocol::RetainFrom(config_, t_);
+  const uint64_t steps2 = config_.view_kind != ViewKind::kFilter ? t_ : 0;
+  VisitFingerprint(w, kTagFingerprint, ConfigFingerprint(config_),
+                   kFingerprintWhat, kConfigMismatch);
+  VisitSection(w, kTagClocks,
+               EngineClocks{t_, frames_drained_, filter_truth_,
+                            total_real_entries_});
+  VisitSection(w, kTagRandomness, ExportStreams(&s0_, &s1_, &proto_));
+  VisitLedger(w, accountant_.ExportLedger());
+  Visit(w, store1_, kTagStore1, t_, floor);
+  Visit(w, store2_, kTagStore2, steps2, std::min(floor, steps2));
+  const ShardedSecureCache& cache = cache_;
+  const bool derived = cache_.shard_party(0, 0) != nullptr;
+  VisitCache(
+      w, *cache_.seq(), cache.append_cursor(), cache.num_shards(), derived,
+      derived,
+      [&](size_t k) {
+        VisitShard(w, cache.shard(k).rows(), cache.shard(k).counter(),
+                   cache.shard(k).seq_value());
+      },
+      [&](size_t k) {
+        Visit(w, ExportStreams(cache_.shard_party(k, 0),
+                               cache_.shard_party(k, 1),
+                               cache_.shard_proto(k)));
+      });
+  VisitThetas(
+      w, ants_,
+      [&](const std::unique_ptr<ShrinkAnt>& ant) {
+        Visit(w, ant->shared_theta());
+      },
+      ants_.size());
+  VisitView(w, view_.rows());
+  VisitSection(w, kTagTruth, truth_);
+  VisitSection(w, kTagLogs, logs_);
+  Visit(w, channel1_, kTagChannel1);
+  Visit(w, channel2_, kTagChannel2);
+  return Status::OK();
+}
+
+Status Engine::RestoreCheckpoint(std::span<const uint8_t> snapshot) {
   if (pending_ != nullptr) {
     return Status::FailedPrecondition(
         "cannot restore between BeginStep and FinishStep");
@@ -802,225 +808,82 @@ Status Engine::RestoreCheckpoint(const std::vector<uint8_t>& snapshot) {
   INCSHRINK_ASSIGN_OR_RETURN(CheckpointReader r,
                              CheckpointReader::Open(snapshot));
 
-  // Decode phase: everything lands in temporaries; no engine member is
+  // Decode phase: every section lands in scratch; no engine member is
   // touched until every section (and the container itself) has validated.
-  r.BeginSection(kTagFingerprint);
-  const uint64_t fingerprint = r.U64();
-  r.EndSection();
-  INCSHRINK_RETURN_NOT_OK(r.ExpectOk("snapshot fingerprint"));
-  if (fingerprint != ConfigFingerprint(config_)) {
-    return Status::FailedPrecondition(
-        "snapshot was taken under a different configuration");
-  }
-
-  r.BeginSection(kTagClocks);
-  const uint64_t t = r.U64();
-  const uint64_t frames_drained = r.U64();
-  const uint64_t filter_truth = r.U64();
-  const uint64_t total_real_entries = r.U64();
-  r.EndSection();
-
-  r.BeginSection(kTagRandomness);
-  const RngState rng0 = r.ReadRng();
-  const RngState rng1 = r.ReadRng();
-  const RngState proto_rng = r.ReadRng();
-  const CircuitStats proto_stats = r.ReadStats();
-  r.EndSection();
-  INCSHRINK_RETURN_NOT_OK(r.ExpectOk("engine clocks and randomness"));
-
-  r.BeginSection(kTagLedger);
-  const uint64_t ledger_size = r.U64();
+  const size_t num_shards = cache_.num_shards();
+  const bool derived_shards = cache_.shard_party(0, 0) != nullptr;
+  EngineClocks clocks;
+  ProtocolStreams streams;
   std::vector<PrivacyAccountant::LedgerEntry> ledger;
-  for (uint64_t i = 0; i < ledger_size && r.ok(); ++i) {
-    PrivacyAccountant::LedgerEntry e;
-    e.rid = r.U32();
-    e.charged = r.U32();
-    e.contributed = r.U32();
-    ledger.push_back(e);
-  }
-  r.EndSection();
-  INCSHRINK_RETURN_NOT_OK(r.ExpectOk("privacy ledger"));
-
-  // Every store holds exactly the batches at or above the restored clock's
-  // retention floor; filter views never upload T2, so store 2 stays empty.
-  const bool join_view = config_.view_kind != ViewKind::kFilter;
-  const uint64_t steps2 = join_view ? t : 0;
-  const uint64_t floor = TransformProtocol::RetainFrom(config_, t);
-  StoreSnapshot store1;
-  StoreSnapshot store2;
-  INCSHRINK_RETURN_NOT_OK(LoadStore(&r, kTagStore1, t, floor, &store1));
-  INCSHRINK_RETURN_NOT_OK(LoadStore(&r, kTagStore2, steps2,
-                                    std::min(floor, steps2), &store2));
-
-  r.BeginSection(kTagCache);
-  const uint64_t cache_seq = r.U64();
-  const uint64_t append_cursor = r.U64();
-  const uint64_t num_shards = r.U64();
-  INCSHRINK_RETURN_NOT_OK(r.ExpectOk("sharded cache header"));
-  if (num_shards != cache_.num_shards()) {
-    return Status::InvalidArgument(
-        "snapshot shard count disagrees with this engine's configuration");
-  }
-  std::vector<SharedRows> shard_rows;
-  std::vector<WordShares> shard_counters;
-  std::vector<uint64_t> shard_seqs;
-  for (uint64_t k = 0; k < num_shards && r.ok(); ++k) {
-    INCSHRINK_ASSIGN_OR_RETURN(SharedRows rows, r.ReadSharedRows());
-    if (rows.width() != kViewWidth) {
-      return Status::InvalidArgument(
-          "snapshot cache shard has the wrong row width");
-    }
-    shard_rows.push_back(std::move(rows));
-    shard_counters.push_back(r.ReadWordShares());
-    shard_seqs.push_back(r.U64());
-  }
-  const uint8_t has_derived = r.U8();
-  std::vector<RngState> shard_party_rngs;
-  std::vector<RngState> shard_proto_rngs;
-  std::vector<CircuitStats> shard_stats;
-  if (has_derived == 1) {
-    for (uint64_t k = 0; k < num_shards && r.ok(); ++k) {
-      shard_party_rngs.push_back(r.ReadRng());
-      shard_party_rngs.push_back(r.ReadRng());
-      shard_proto_rngs.push_back(r.ReadRng());
-      shard_stats.push_back(r.ReadStats());
-    }
-  }
-  r.EndSection();
-  INCSHRINK_RETURN_NOT_OK(r.ExpectOk("sharded cache"));
-  if (has_derived > 1 ||
-      (has_derived == 1) != (cache_.shard_party(0, 0) != nullptr)) {
-    return Status::InvalidArgument(
-        "snapshot cache shape disagrees with this engine's sharding");
-  }
-
-  r.BeginSection(kTagTheta);
-  const uint64_t theta_count = r.U64();
+  OutsourcedTable store1(kSrcWidth);
+  OutsourcedTable store2(kSrcWidth);
+  uint64_t cache_seq = 0;
+  uint64_t append_cursor = 0;
+  std::vector<SharedRows> shard_rows(num_shards, SharedRows(kViewWidth));
+  std::vector<WordShares> shard_counters(num_shards);
+  std::vector<uint64_t> shard_seqs(num_shards);
+  bool derived = false;
+  std::vector<ProtocolStreams> shard_streams(num_shards);
   std::vector<WordShares> thetas;
-  for (uint64_t k = 0; k < theta_count && r.ok(); ++k) {
-    thetas.push_back(r.ReadWordShares());
-  }
-  r.EndSection();
-  INCSHRINK_RETURN_NOT_OK(r.ExpectOk("ANT thresholds"));
-  if (theta_count != ants_.size()) {
-    return Status::InvalidArgument(
-        "snapshot strategy state disagrees with this engine's strategy");
-  }
-
-  r.BeginSection(kTagView);
-  INCSHRINK_ASSIGN_OR_RETURN(SharedRows view_rows, r.ReadSharedRows());
-  r.EndSection();
-  INCSHRINK_RETURN_NOT_OK(r.ExpectOk("materialized view"));
-  if (view_rows.width() != kViewWidth) {
-    return Status::InvalidArgument(
-        "snapshot view has the wrong row width");
-  }
-
+  SharedRows view_rows(kViewWidth);
   WindowJoinCounter truth(truth_.query());
-  r.BeginSection(kTagTruth);
-  INCSHRINK_RETURN_NOT_OK(truth.RestoreFrom(&r));
-  r.EndSection();
-  INCSHRINK_RETURN_NOT_OK(r.ExpectOk("ground-truth counter"));
-
-  r.BeginSection(kTagLogs);
-  const uint64_t metrics_count = r.U64();
-  std::vector<StepMetrics> metrics;
-  for (uint64_t i = 0; i < metrics_count && r.ok(); ++i) {
-    StepMetrics m;
-    if (!LoadMetrics(&r, &m)) {
-      return Status::InvalidArgument(
-          "snapshot step metrics carry non-canonical flags");
-    }
-    metrics.push_back(m);
-  }
-  const uint64_t transcript_count = r.U64();
-  Transcript transcript;
-  for (uint64_t i = 0; i < transcript_count && r.ok(); ++i) {
-    const uint8_t kind = r.U8();
-    TranscriptEvent e{TranscriptEvent::Kind::kUpload, 0, 0};
-    e.t = r.U64();
-    e.rows = r.U64();
-    if (!r.ok()) break;
-    if (kind > static_cast<uint8_t>(TranscriptEvent::Kind::kFlush)) {
-      return Status::InvalidArgument(
-          "snapshot transcript carries an unknown event kind");
-    }
-    e.kind = static_cast<TranscriptEvent::Kind>(kind);
-    transcript.push_back(e);
-  }
-  const uint64_t release_count = r.U64();
-  std::vector<LeakageRelease> releases;
-  for (uint64_t i = 0; i < release_count && r.ok(); ++i) {
-    LeakageRelease rel;
-    rel.t = r.U64();
-    rel.size = r.U32();
-    const uint8_t fired = r.U8();
-    if (!r.ok()) break;
-    if (fired > 1) {
-      return Status::InvalidArgument(
-          "snapshot release log carries non-canonical flags");
-    }
-    rel.fired = fired == 1;
-    releases.push_back(rel);
-  }
-  const uint64_t real_count = r.U64();
-  std::vector<uint32_t> real_entries;
-  for (uint64_t i = 0; i < real_count && r.ok(); ++i) {
-    real_entries.push_back(r.U32());
-  }
-  const uint64_t up1_count = r.U64();
-  std::vector<uint64_t> up1_log;
-  for (uint64_t i = 0; i < up1_count && r.ok(); ++i) {
-    up1_log.push_back(r.U64());
-  }
-  const uint64_t up2_count = r.U64();
-  std::vector<uint64_t> up2_log;
-  for (uint64_t i = 0; i < up2_count && r.ok(); ++i) {
-    up2_log.push_back(r.U64());
-  }
-  r.EndSection();
-  INCSHRINK_RETURN_NOT_OK(r.ExpectOk("engine logs"));
-  if (up1_log.size() != t || up2_log.size() != t ||
-      !StoreMatchesLog(store1, up1_log) || !StoreMatchesLog(store2, up2_log)) {
-    return Status::InvalidArgument(
-        "snapshot stores disagree with the logged upload sizes");
-  }
-
+  EngineLogs logs;
   UploadChannel ch1(config_.upload_channel_capacity);
   UploadChannel ch2(config_.upload_channel_capacity);
-  INCSHRINK_RETURN_NOT_OK(LoadChannel(&r, kTagChannel1, &ch1));
-  INCSHRINK_RETURN_NOT_OK(LoadChannel(&r, kTagChannel2, &ch2));
 
+  VisitFingerprint(r, kTagFingerprint, ConfigFingerprint(config_),
+                   kFingerprintWhat, kConfigMismatch);
+  VisitSection(r, kTagClocks, clocks);
+  VisitSection(r, kTagRandomness, streams);
+  r.Expect("engine clocks and randomness");
+  VisitLedger(r, ledger);
+  // Every store holds exactly the batches at or above the restored clock's
+  // retention floor; filter views never upload T2, so store 2 stays empty.
+  const uint64_t t = clocks.t;
+  const uint64_t floor = TransformProtocol::RetainFrom(config_, t);
+  const uint64_t steps2 = config_.view_kind != ViewKind::kFilter ? t : 0;
+  Visit(r, store1, kTagStore1, t, floor);
+  Visit(r, store2, kTagStore2, steps2, std::min(floor, steps2));
+  VisitCache(
+      r, cache_seq, append_cursor, num_shards, derived, derived_shards,
+      [&](size_t k) {
+        VisitShard(r, shard_rows[k], shard_counters[k], shard_seqs[k]);
+      },
+      [&](size_t k) { Visit(r, shard_streams[k]); });
+  VisitThetas(
+      r, thetas, [&](WordShares& theta) { Visit(r, theta); }, ants_.size());
+  VisitView(r, view_rows);
+  VisitSection(r, kTagTruth, truth);
+  r.Expect("ground-truth counter");
+  VisitSection(r, kTagLogs, logs);
+  r.Expect("engine logs");
+  if (r.ok()) {
+    r.Check(logs.upload_rows_t1.size() == t &&
+                logs.upload_rows_t2.size() == t &&
+                StoreMatchesLog(store1, logs.upload_rows_t1) &&
+                StoreMatchesLog(store2, logs.upload_rows_t2),
+            "snapshot stores disagree with the logged upload sizes");
+  }
+  Visit(r, ch1, kTagChannel1);
+  Visit(r, ch2, kTagChannel2);
   INCSHRINK_RETURN_NOT_OK(r.Finish());
 
   // Commit phase. The ledger restore validates its own invariants and is
-  // atomic, so it goes first; everything after it cannot fail (store widths
-  // and row totals were validated above, the rest are plain assignments).
-  // No step below draws randomness — restored cursors resume the exact
-  // party streams.
+  // atomic, so it goes first; everything after it is a move or a plain
+  // assignment and cannot fail. No step below draws randomness — restored
+  // cursors resume the exact party streams.
   INCSHRINK_RETURN_NOT_OK(accountant_.RestoreLedger(ledger));
-  INCSHRINK_RETURN_NOT_OK(store1_.Restore(
-      store1.first_retained, store1.total_rows, std::move(store1.batches)));
-  INCSHRINK_RETURN_NOT_OK(store2_.Restore(
-      store2.first_retained, store2.total_rows, std::move(store2.batches)));
-  s0_.rng()->RestoreState(rng0);
-  s1_.rng()->RestoreState(rng1);
-  proto_.internal_rng()->RestoreState(proto_rng);
-  proto_.RestoreStats(proto_stats);
+  store1_ = std::move(store1);
+  store2_ = std::move(store2);
+  RestoreStreams(streams, &s0_, &s1_, &proto_);
   cache_.RestoreCursors(cache_seq, append_cursor);
-  for (size_t k = 0; k < cache_.num_shards(); ++k) {
+  for (size_t k = 0; k < num_shards; ++k) {
     *cache_.shard(k).rows() = std::move(shard_rows[k]);
     cache_.shard(k).RestoreCounter(shard_counters[k]);
     cache_.shard(k).RestoreSeq(shard_seqs[k]);
-  }
-  if (has_derived == 1) {
-    for (size_t k = 0; k < cache_.num_shards(); ++k) {
-      cache_.shard_party(k, 0)->rng()->RestoreState(shard_party_rngs[2 * k]);
-      cache_.shard_party(k, 1)->rng()->RestoreState(
-          shard_party_rngs[2 * k + 1]);
-      cache_.shard_proto(k)->internal_rng()->RestoreState(
-          shard_proto_rngs[k]);
-      cache_.shard_proto(k)->RestoreStats(shard_stats[k]);
+    if (derived) {
+      RestoreStreams(shard_streams[k], cache_.shard_party(k, 0),
+                     cache_.shard_party(k, 1), cache_.shard_proto(k));
     }
   }
   for (size_t k = 0; k < ants_.size(); ++k) {
@@ -1029,15 +892,10 @@ Status Engine::RestoreCheckpoint(const std::vector<uint8_t>& snapshot) {
   view_.RestoreRows(std::move(view_rows));
   truth_ = std::move(truth);
   t_ = t;
-  frames_drained_ = frames_drained;
-  filter_truth_ = filter_truth;
-  total_real_entries_ = total_real_entries;
-  metrics_ = std::move(metrics);
-  transcript_ = std::move(transcript);
-  releases_ = std::move(releases);
-  real_entries_per_step_ = std::move(real_entries);
-  upload_rows_t1_log_ = std::move(up1_log);
-  upload_rows_t2_log_ = std::move(up2_log);
+  frames_drained_ = clocks.frames_drained;
+  filter_truth_ = clocks.filter_truth;
+  total_real_entries_ = clocks.total_real_entries;
+  logs_ = std::move(logs);
   channel1_ = std::move(ch1);
   channel2_ = std::move(ch2);
   return Status::OK();

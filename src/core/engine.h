@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "src/common/thread_pool.h"
@@ -26,6 +27,16 @@
 #include "src/storage/sharded_cache.h"
 
 namespace incshrink {
+
+/// The engine's append-only per-step logs: one snapshot section.
+struct EngineLogs {
+  std::vector<StepMetrics> metrics;
+  Transcript transcript;
+  std::vector<LeakageRelease> releases;
+  std::vector<uint32_t> real_entries_per_step;
+  std::vector<uint64_t> upload_rows_t1;  ///< per-step T1 upload sizes
+  std::vector<uint64_t> upload_rows_t2;  ///< per-step T2 upload sizes
+};
 
 /// \brief The IncShrink engine: the server side of one secure outsourced
 /// growing database deployment (two servers, one view definition, one
@@ -119,11 +130,11 @@ class Engine {
   /// Aggregated results (Table 2 rows).
   RunSummary Summary() const;
 
-  const std::vector<StepMetrics>& step_metrics() const { return metrics_; }
-  const Transcript& transcript() const { return transcript_; }
-  const std::vector<LeakageRelease>& releases() const { return releases_; }
+  const std::vector<StepMetrics>& step_metrics() const { return logs_.metrics; }
+  const Transcript& transcript() const { return logs_.transcript; }
+  const std::vector<LeakageRelease>& releases() const { return logs_.releases; }
   const std::vector<uint32_t>& per_step_real_entries() const {
-    return real_entries_per_step_;
+    return logs_.real_entries_per_step;
   }
 
   const IncShrinkConfig& config() const { return config_; }
@@ -184,6 +195,9 @@ class Engine {
   /// serializable) and with OutOfRange when the blob would exceed
   /// config().checkpoint_max_bytes.
   Result<std::vector<uint8_t>> SaveCheckpoint();
+  /// The same snapshot, nested in place in `outer`'s current section (see
+  /// CheckpointWriter::BeginContainer). On error `outer` is unspecified.
+  Status SaveCheckpoint(CheckpointWriter* outer);
 
   /// Restores a SaveCheckpoint blob into this engine, which must have been
   /// constructed with the identical config (fingerprint-checked). Atomic:
@@ -191,7 +205,7 @@ class Engine {
   /// changes, so a malformed or hostile snapshot is rejected with a Status
   /// and the engine keeps running on its prior state. Never draws
   /// randomness — restored RNG cursors resume the exact party streams.
-  Status RestoreCheckpoint(const std::vector<uint8_t>& snapshot);
+  Status RestoreCheckpoint(std::span<const uint8_t> snapshot);
 
   /// Automatic checkpoint slot: when config().checkpoint_interval > 0,
   /// FinishStep refreshes this after every interval-th completed step so a
@@ -229,6 +243,11 @@ class Engine {
   /// Body of BeginStep (wrapped so error returns reset the pending state).
   Status BeginStepImpl();
 
+  /// Writes every snapshot section (between steps only).
+  Status SaveSections(CheckpointWriter& w);
+  /// OutOfRange when a snapshot of `bytes` exceeds checkpoint_max_bytes.
+  Status CheckSnapshotSize(size_t bytes) const;
+
   /// Batch execution policy of this deployment's oblivious submissions.
   BatchExec batch_exec() {
     return BatchExec{shard_pool_.get(), config_.oblivious_batch_min_layer};
@@ -261,12 +280,7 @@ class Engine {
   uint64_t filter_truth_ = 0;  ///< ground truth for filter views
   uint64_t frames_drained_ = 0;
   uint64_t t_ = 0;
-  std::vector<StepMetrics> metrics_;
-  Transcript transcript_;
-  std::vector<LeakageRelease> releases_;
-  std::vector<uint32_t> real_entries_per_step_;
-  std::vector<uint64_t> upload_rows_t1_log_;  ///< per-step T1 upload sizes
-  std::vector<uint64_t> upload_rows_t2_log_;  ///< per-step T2 upload sizes
+  EngineLogs logs_;
   uint64_t total_real_entries_ = 0;
 
   std::vector<uint8_t> last_checkpoint_;  ///< auto-checkpoint slot

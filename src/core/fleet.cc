@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "src/common/logging.h"
-#include "src/storage/checkpoint.h"
 
 namespace incshrink {
 
@@ -258,13 +257,35 @@ void DeploymentFleet::RunAll() {
 
 namespace {
 
-// ICKP layout of one migratable tenant: fingerprint, fleet-side scheduling
-// state, the engine's self-validating snapshot blob, then the two owners.
-constexpr uint32_t kTagTenantFingerprint = CheckpointTag('T', 'F', 'G', ' ');
+// ICKP layout of one migratable tenant: the shared deployment envelope
+// (src/core/owner_client.h) with the fleet-side scheduling state as its
+// driver section.
+constexpr SnapshotEnvelope kTenantEnvelope{
+    CheckpointTag('T', 'F', 'G', ' '), "tenant fingerprint",
+    "tenant snapshot was taken under a different configuration",
+    "embedded tenant engine snapshot",
+    "tenant snapshot exceeds checkpoint_max_bytes"};
 constexpr uint32_t kTagTenantSched = CheckpointTag('T', 'S', 'C', 'H');
-constexpr uint32_t kTagTenantEngine = CheckpointTag('E', 'N', 'G', ' ');
-constexpr uint32_t kTagTenantOwner1 = CheckpointTag('O', 'W', 'N', '1');
-constexpr uint32_t kTagTenantOwner2 = CheckpointTag('O', 'W', 'N', '2');
+
+/// TSCH: the tenant's stream cursor, scheduler age, service count, last
+/// service round and service-gap history. Restoring rejects a cursor past
+/// the `steps` of this fleet's workload.
+template <class A>
+void VisitSchedule(A& a, FieldRef<A, uint64_t> cursor,
+                   FieldRef<A, uint64_t> age, FieldRef<A, uint64_t> services,
+                   FieldRef<A, uint64_t> last_service_round,
+                   FieldRef<A, std::vector<uint64_t>> gaps, uint64_t steps) {
+  a.BeginSection(kTagTenantSched);
+  a.U64(cursor);
+  a.U64(age);
+  a.U64(services);
+  a.U64(last_service_round);
+  VisitList(a, gaps, [&](auto& gap) { a.U64(gap); });
+  a.EndSection();
+  a.Expect("tenant scheduling state");
+  a.Check(cursor <= steps,
+          "tenant snapshot's stream cursor runs past this fleet's workload");
+}
 
 }  // namespace
 
@@ -272,93 +293,33 @@ Result<std::vector<uint8_t>> DeploymentFleet::CheckpointTenant(size_t i) {
   if (i >= tenants_.size()) {
     return Status::OutOfRange("tenant index out of range");
   }
-  INCSHRINK_ASSIGN_OR_RETURN(const std::vector<uint8_t> engine_blob,
-                             engines_[i]->SaveCheckpoint());
-  CheckpointWriter w;
-  w.BeginSection(kTagTenantFingerprint);
-  w.U64(ConfigFingerprint(tenants_[i].config));
-  w.EndSection();
-  w.BeginSection(kTagTenantSched);
-  w.U64(cursor_[i]);
-  w.U64(age_[i]);
-  w.U64(services_[i]);
-  w.U64(last_service_round_[i]);
-  w.U64(service_gaps_[i].size());
-  for (const uint64_t gap : service_gaps_[i]) w.U64(gap);
-  w.EndSection();
-  w.BeginSection(kTagTenantEngine);
-  w.Bytes(engine_blob);
-  w.EndSection();
-  w.BeginSection(kTagTenantOwner1);
-  owners1_[i]->SaveTo(&w);
-  w.EndSection();
-  w.BeginSection(kTagTenantOwner2);
-  owners2_[i]->SaveTo(&w);
-  w.EndSection();
-  std::vector<uint8_t> blob = w.Finish();
-  if (blob.size() > tenants_[i].config.checkpoint_max_bytes) {
-    return Status::OutOfRange(
-        "tenant snapshot exceeds checkpoint_max_bytes");
-  }
-  return blob;
+  return SaveEnvelope(
+      kTenantEnvelope, ConfigFingerprint(tenants_[i].config),
+      engines_[i].get(), *owners1_[i], *owners2_[i],
+      [&](CheckpointWriter& w) {
+        VisitSchedule(w, cursor_[i], age_[i], services_[i],
+                      last_service_round_[i], service_gaps_[i],
+                      tenants_[i].workload->steps());
+      });
 }
 
 Status DeploymentFleet::RestoreTenant(size_t i,
-                                      const std::vector<uint8_t>& snapshot) {
+                                      std::span<const uint8_t> snapshot) {
   if (i >= tenants_.size()) {
     return Status::OutOfRange("tenant index out of range");
   }
-  INCSHRINK_ASSIGN_OR_RETURN(CheckpointReader r,
-                             CheckpointReader::Open(snapshot));
-  r.BeginSection(kTagTenantFingerprint);
-  const uint64_t fingerprint = r.U64();
-  r.EndSection();
-  INCSHRINK_RETURN_NOT_OK(r.ExpectOk("tenant fingerprint"));
-  if (fingerprint != ConfigFingerprint(tenants_[i].config)) {
-    return Status::FailedPrecondition(
-        "tenant snapshot was taken under a different configuration");
-  }
-
-  r.BeginSection(kTagTenantSched);
-  const uint64_t cursor = r.U64();
-  const uint64_t age = r.U64();
-  const uint64_t services = r.U64();
-  const uint64_t last_service_round = r.U64();
-  const uint64_t gap_count = r.U64();
+  uint64_t cursor = 0;
+  uint64_t age = 0;
+  uint64_t services = 0;
+  uint64_t last_service_round = 0;
   std::vector<uint64_t> gaps;
-  for (uint64_t g = 0; g < gap_count && r.ok(); ++g) {
-    gaps.push_back(r.U64());
-  }
-  r.EndSection();
-  INCSHRINK_RETURN_NOT_OK(r.ExpectOk("tenant scheduling state"));
-  if (cursor > tenants_[i].workload->steps()) {
-    return Status::InvalidArgument(
-        "tenant snapshot's stream cursor runs past this fleet's workload");
-  }
-
-  r.BeginSection(kTagTenantEngine);
-  const std::vector<uint8_t> engine_blob = r.Bytes();
-  r.EndSection();
-  INCSHRINK_RETURN_NOT_OK(r.ExpectOk("embedded tenant engine snapshot"));
-
-  // Dry-run the owner sections into scratch clients (constructed without
-  // drawing anything shared), so every fallible decode precedes the first
-  // live mutation; see SynchronousDeployment::RestoreCheckpoint.
-  OwnerClient scratch1 =
-      MakeOwner1(tenants_[i].config, engines_[i]->channel1());
-  OwnerClient scratch2 =
-      MakeOwner2(tenants_[i].config, engines_[i]->channel2());
-  r.BeginSection(kTagTenantOwner1);
-  INCSHRINK_RETURN_NOT_OK(scratch1.RestoreFrom(&r));
-  r.EndSection();
-  r.BeginSection(kTagTenantOwner2);
-  INCSHRINK_RETURN_NOT_OK(scratch2.RestoreFrom(&r));
-  r.EndSection();
-  INCSHRINK_RETURN_NOT_OK(r.Finish());
-
-  INCSHRINK_RETURN_NOT_OK(engines_[i]->RestoreCheckpoint(engine_blob));
-  *owners1_[i] = std::move(scratch1);
-  *owners2_[i] = std::move(scratch2);
+  INCSHRINK_RETURN_NOT_OK(RestoreEnvelope(
+      kTenantEnvelope, ConfigFingerprint(tenants_[i].config), snapshot,
+      engines_[i].get(), owners1_[i].get(), owners2_[i].get(),
+      [&](CheckpointReader& r) {
+        VisitSchedule(r, cursor, age, services, last_service_round, gaps,
+                      tenants_[i].workload->steps());
+      }));
   cursor_[i] = cursor;
   age_[i] = age;
   services_[i] = services;

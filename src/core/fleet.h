@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -161,7 +162,7 @@ class DeploymentFleet {
   /// the blob's config fingerprint. Atomic: a malformed or mismatched
   /// snapshot is rejected with a Status and the tenant keeps running on its
   /// prior state.
-  Status RestoreTenant(size_t i, const std::vector<uint8_t>& snapshot);
+  Status RestoreTenant(size_t i, std::span<const uint8_t> snapshot);
 
   /// The public priority key of tenant `i` for the *next* round, exactly as
   /// the scheduler would compute it now. Exposed for tests and benches; a

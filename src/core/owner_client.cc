@@ -45,32 +45,18 @@ bool OwnerClient::TryStep(const std::vector<LogicalRecord>& arrivals) {
   return true;
 }
 
-void OwnerClient::SaveTo(CheckpointWriter* writer) const {
-  uploader_.SaveTo(writer);
-  writer->WriteRng(share_rng_.ExportState());
-  writer->U64(t_);
-  writer->U64(frames_sent_);
-  writer->U64(rows_sent_);
+template <class A>
+void Visit(A& a, FieldRef<A, OwnerClient> client) {
+  Visit(a, client.uploader_);
+  Visit(a, client.share_rng_);
+  a.U64(client.t_);
+  a.U64(client.frames_sent_);
+  a.U64(client.rows_sent_);
+  a.Expect("owner client state");
 }
 
-Status OwnerClient::RestoreFrom(CheckpointReader* reader) {
-  // The uploader restores first (it validates its own shape) but commits
-  // into itself, so a later failure here would tear the client. The scalar
-  // reads below can only fail through the reader's ok flag, which the
-  // deployment's dry-run pass has already cleared — still, check it before
-  // committing the scalars so a standalone caller stays safe.
-  INCSHRINK_RETURN_NOT_OK(uploader_.RestoreFrom(reader));
-  const RngState share_state = reader->ReadRng();
-  const uint64_t t = reader->U64();
-  const uint64_t frames_sent = reader->U64();
-  const uint64_t rows_sent = reader->U64();
-  INCSHRINK_RETURN_NOT_OK(reader->ExpectOk("owner client state"));
-  share_rng_.RestoreState(share_state);
-  t_ = t;
-  frames_sent_ = frames_sent;
-  rows_sent_ = rows_sent;
-  return Status::OK();
-}
+template void Visit(CheckpointWriter&, const OwnerClient&);
+template void Visit(CheckpointReader&, OwnerClient&);
 
 OwnerClient MakeOwner1(const IncShrinkConfig& config, UploadChannel* channel) {
   // Policy seeds match the pre-transport engine (config.seed + 101 / + 202)
@@ -104,76 +90,94 @@ Status SynchronousDeployment::Step(const std::vector<LogicalRecord>& new1,
 
 namespace {
 
-// Outer ICKP layout of a whole deployment: fingerprint, the engine's own
-// (self-validating) snapshot blob, then the two owner sections.
-constexpr uint32_t kTagDeployFingerprint = CheckpointTag('D', 'F', 'G', ' ');
-constexpr uint32_t kTagEngineBlob = CheckpointTag('E', 'N', 'G', ' ');
+constexpr uint32_t kTagEngine = CheckpointTag('E', 'N', 'G', ' ');
 constexpr uint32_t kTagOwner1 = CheckpointTag('O', 'W', 'N', '1');
 constexpr uint32_t kTagOwner2 = CheckpointTag('O', 'W', 'N', '2');
 
+/// The envelope's field order for both archives. Writing embeds the
+/// engine's container straight into its section; reading borrows it into
+/// `engine_blob` for the caller to restore once the envelope has validated.
+template <class A, class Driver>
+Status VisitEnvelope(A& a, const SnapshotEnvelope& envelope,
+                     uint64_t fingerprint, Engine* engine,
+                     FieldRef<A, OwnerClient> owner1,
+                     FieldRef<A, OwnerClient> owner2,
+                     std::span<const uint8_t>* engine_blob,
+                     const Driver& driver_sections) {
+  VisitFingerprint(a, envelope.fingerprint_tag, fingerprint,
+                   envelope.fingerprint_what, envelope.config_mismatch);
+  if (driver_sections) driver_sections(a);
+  a.BeginSection(kTagEngine);
+  if constexpr (A::kRestoring) {
+    a.Bytes(*engine_blob);
+  } else {
+    INCSHRINK_RETURN_NOT_OK(engine->SaveCheckpoint(&a));
+  }
+  a.EndSection();
+  a.Expect(envelope.engine_what);
+  VisitSection(a, kTagOwner1, owner1);
+  VisitSection(a, kTagOwner2, owner2);
+  return Status::OK();
+}
+
+constexpr SnapshotEnvelope kDeploymentEnvelope{
+    CheckpointTag('D', 'F', 'G', ' '), "deployment fingerprint",
+    "snapshot was taken under a different configuration",
+    "embedded engine snapshot",
+    "deployment snapshot exceeds checkpoint_max_bytes"};
+
 }  // namespace
 
-Result<std::vector<uint8_t>> SynchronousDeployment::SaveCheckpoint() {
-  INCSHRINK_ASSIGN_OR_RETURN(const std::vector<uint8_t> engine_blob,
-                             engine_.SaveCheckpoint());
+Result<std::vector<uint8_t>> SaveEnvelope(
+    const SnapshotEnvelope& envelope, uint64_t fingerprint, Engine* engine,
+    const OwnerClient& owner1, const OwnerClient& owner2,
+    const std::function<void(CheckpointWriter&)>& driver_sections) {
   CheckpointWriter w;
-  w.BeginSection(kTagDeployFingerprint);
-  w.U64(ConfigFingerprint(engine_.config()));
-  w.EndSection();
-  w.BeginSection(kTagEngineBlob);
-  w.Bytes(engine_blob);
-  w.EndSection();
-  w.BeginSection(kTagOwner1);
-  owner1_.SaveTo(&w);
-  w.EndSection();
-  w.BeginSection(kTagOwner2);
-  owner2_.SaveTo(&w);
-  w.EndSection();
+  INCSHRINK_RETURN_NOT_OK(VisitEnvelope(w, envelope, fingerprint, engine,
+                                        owner1, owner2, nullptr,
+                                        driver_sections));
   std::vector<uint8_t> blob = w.Finish();
-  if (blob.size() > engine_.config().checkpoint_max_bytes) {
-    return Status::OutOfRange(
-        "deployment snapshot exceeds checkpoint_max_bytes");
+  if (blob.size() > engine->config().checkpoint_max_bytes) {
+    return Status::OutOfRange(envelope.too_large);
   }
   return blob;
 }
 
-Status SynchronousDeployment::RestoreCheckpoint(
-    const std::vector<uint8_t>& snapshot) {
+Status RestoreEnvelope(
+    const SnapshotEnvelope& envelope, uint64_t fingerprint,
+    std::span<const uint8_t> snapshot, Engine* engine, OwnerClient* owner1, OwnerClient* owner2,
+    const std::function<void(CheckpointReader&)>& driver_sections) {
   INCSHRINK_ASSIGN_OR_RETURN(CheckpointReader r,
                              CheckpointReader::Open(snapshot));
-  r.BeginSection(kTagDeployFingerprint);
-  const uint64_t fingerprint = r.U64();
-  r.EndSection();
-  INCSHRINK_RETURN_NOT_OK(r.ExpectOk("deployment fingerprint"));
-  if (fingerprint != ConfigFingerprint(engine_.config())) {
-    return Status::FailedPrecondition(
-        "snapshot was taken under a different configuration");
-  }
-  r.BeginSection(kTagEngineBlob);
-  const std::vector<uint8_t> engine_blob = r.Bytes();
-  r.EndSection();
-  INCSHRINK_RETURN_NOT_OK(r.ExpectOk("embedded engine snapshot"));
-
   // Dry-run pass: the owner sections restore into freshly constructed
-  // scratch clients first (their constructors draw nothing shared with the
+  // scratch clients (their constructors draw nothing shared with the
   // engine), so every fallible decode happens before any live object
   // changes. The engine restore is atomic on its own, and the final owner
-  // commit is a pair of moves that cannot fail — the deployment restores
-  // all-or-nothing.
-  OwnerClient scratch1 = MakeOwner1(engine_.config(), engine_.channel1());
-  OwnerClient scratch2 = MakeOwner2(engine_.config(), engine_.channel2());
-  r.BeginSection(kTagOwner1);
-  INCSHRINK_RETURN_NOT_OK(scratch1.RestoreFrom(&r));
-  r.EndSection();
-  r.BeginSection(kTagOwner2);
-  INCSHRINK_RETURN_NOT_OK(scratch2.RestoreFrom(&r));
-  r.EndSection();
+  // commit is a pair of moves that cannot fail.
+  OwnerClient scratch1 = MakeOwner1(engine->config(), engine->channel1());
+  OwnerClient scratch2 = MakeOwner2(engine->config(), engine->channel2());
+  std::span<const uint8_t> engine_blob;
+  INCSHRINK_RETURN_NOT_OK(VisitEnvelope(r, envelope, fingerprint, engine,
+                                        scratch1, scratch2, &engine_blob,
+                                        driver_sections));
   INCSHRINK_RETURN_NOT_OK(r.Finish());
 
-  INCSHRINK_RETURN_NOT_OK(engine_.RestoreCheckpoint(engine_blob));
-  owner1_ = std::move(scratch1);
-  owner2_ = std::move(scratch2);
+  INCSHRINK_RETURN_NOT_OK(engine->RestoreCheckpoint(engine_blob));
+  *owner1 = std::move(scratch1);
+  *owner2 = std::move(scratch2);
   return Status::OK();
+}
+
+Result<std::vector<uint8_t>> SynchronousDeployment::SaveCheckpoint() {
+  return SaveEnvelope(kDeploymentEnvelope, ConfigFingerprint(engine_.config()),
+                      &engine_, owner1_, owner2_);
+}
+
+Status SynchronousDeployment::RestoreCheckpoint(
+    std::span<const uint8_t> snapshot) {
+  return RestoreEnvelope(kDeploymentEnvelope,
+                         ConfigFingerprint(engine_.config()), snapshot,
+                         &engine_, &owner1_, &owner2_);
 }
 
 Status SynchronousDeployment::Run(

@@ -1,6 +1,8 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <span>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -9,6 +11,7 @@
 #include "src/core/upload_policy.h"
 #include "src/net/upload_channel.h"
 #include "src/relational/growing_table.h"
+#include "src/storage/checkpoint.h"
 
 namespace incshrink {
 
@@ -18,9 +21,6 @@ namespace incshrink {
 /// constant. Public and stable, so any driver (SynchronousDeployment, the
 /// fleet, a standalone process) reconstructs the exact same owners.
 uint64_t DeriveOwnerShareSeed(uint64_t deployment_seed, int owner_index);
-
-class CheckpointWriter;
-class CheckpointReader;
 
 /// \brief A standalone data owner: the client side of one upload channel.
 ///
@@ -65,14 +65,13 @@ class OwnerClient {
   uint64_t frames_sent() const { return frames_sent_; }
   uint64_t rows_sent() const { return rows_sent_; }
 
-  /// Checkpoint support: serializes the owner's full resumable state — the
-  /// policy uploader, the share-randomness cursor, the logical clock and
-  /// the lifetime counters. The channel backlog is engine-side state and is
-  /// captured by Engine::SaveCheckpoint.
-  void SaveTo(CheckpointWriter* writer) const;
-  /// Restores the state saved by SaveTo into a client constructed with the
-  /// same config/seeds; fails closed on malformed input.
-  Status RestoreFrom(CheckpointReader* reader);
+  /// Checkpoint field order (src/storage/checkpoint.h) of the owner's full
+  /// resumable state: the policy uploader, the share-randomness cursor, the
+  /// logical clock and the lifetime counters. The channel backlog is
+  /// engine-side state and is captured by the engine's snapshot. Restore into
+  /// a scratch client constructed with the same config and seeds.
+  template <class A>
+  friend void Visit(A& a, FieldRef<A, OwnerClient> client);
 
  private:
   OwnerUploader uploader_;
@@ -130,7 +129,7 @@ class SynchronousDeployment {
   /// Atomic: on any error the deployment is left in its prior state, except
   /// that a torn engine/owner mismatch can only arise from distinct blobs —
   /// within one valid blob all parts restore or none do.
-  Status RestoreCheckpoint(const std::vector<uint8_t>& snapshot);
+  Status RestoreCheckpoint(std::span<const uint8_t> snapshot);
 
  private:
   Engine engine_;
@@ -143,5 +142,33 @@ class SynchronousDeployment {
 /// SynchronousDeployment and the fleet so both drive identical owners.
 OwnerClient MakeOwner1(const IncShrinkConfig& config, UploadChannel* channel);
 OwnerClient MakeOwner2(const IncShrinkConfig& config, UploadChannel* channel);
+
+/// The ICKP envelope of one engine and its two owners, shared by
+/// SynchronousDeployment and the fleet's tenant snapshots: a fingerprint
+/// section, the driver's sections, the engine's snapshot nested in place as
+/// 'ENG ', then 'OWN1' and 'OWN2'. The strings word the driver's rejections.
+struct SnapshotEnvelope {
+  uint32_t fingerprint_tag;
+  const char* fingerprint_what;  ///< names a malformed fingerprint section
+  const char* config_mismatch;   ///< FailedPrecondition on another config
+  const char* engine_what;       ///< names a malformed engine section
+  const char* too_large;         ///< OutOfRange past checkpoint_max_bytes
+};
+
+/// Saves `fingerprint` (the driver's config), `driver_sections` if set,
+/// `engine` (between steps only) and the owners into one envelope.
+Result<std::vector<uint8_t>> SaveEnvelope(
+    const SnapshotEnvelope& envelope, uint64_t fingerprint, Engine* engine,
+    const OwnerClient& owner1, const OwnerClient& owner2,
+    const std::function<void(CheckpointWriter&)>& driver_sections = {});
+
+/// Restores a SaveEnvelope blob: the owners and `driver_sections` decode
+/// into scratch, the atomic engine restore reads its nested snapshot in
+/// place, and only then do the owners commit by moves. On error nothing
+/// changes (if the driver also commits its scratch only on OK).
+Status RestoreEnvelope(
+    const SnapshotEnvelope& envelope, uint64_t fingerprint,
+    std::span<const uint8_t> snapshot, Engine* engine, OwnerClient* owner1, OwnerClient* owner2,
+    const std::function<void(CheckpointReader&)>& driver_sections = {});
 
 }  // namespace incshrink

@@ -6,7 +6,6 @@
 #include "src/dp/laplace.h"
 #include "src/oblivious/formats.h"
 #include "src/relational/encode.h"
-#include "src/storage/checkpoint.h"
 
 namespace incshrink {
 
@@ -25,42 +24,6 @@ OwnerUploader::OwnerUploader(const UploadPolicyConfig& config,
 
 double OwnerUploader::PolicyEpsilon() const {
   return UploadPolicyEpsilon(config_);
-}
-
-void OwnerUploader::SaveTo(CheckpointWriter* writer) const {
-  writer->WriteRng(policy_rng_.ExportState());
-  writer->U64(queue_.size());
-  for (const LogicalRecord& rec : queue_) writer->WriteRecord(rec);
-  writer->U8(svt_ ? 1 : 0);
-  if (svt_) {
-    const NumericAboveNoisyThreshold::State svt_state = svt_->ExportState();
-    writer->U64(svt_state.noisy_threshold_bits);
-    writer->U64(svt_state.releases);
-  }
-}
-
-Status OwnerUploader::RestoreFrom(CheckpointReader* reader) {
-  const RngState rng_state = reader->ReadRng();
-  const uint64_t queue_size = reader->U64();
-  std::vector<LogicalRecord> queue;
-  for (uint64_t i = 0; i < queue_size && reader->ok(); ++i) {
-    queue.push_back(reader->ReadRecord());
-  }
-  const uint8_t has_svt = reader->U8();
-  NumericAboveNoisyThreshold::State svt_state;
-  if (has_svt == 1) {
-    svt_state.noisy_threshold_bits = reader->U64();
-    svt_state.releases = reader->U64();
-  }
-  INCSHRINK_RETURN_NOT_OK(reader->ExpectOk("owner uploader state"));
-  if (has_svt > 1 || (has_svt == 1) != (svt_ != nullptr)) {
-    return Status::InvalidArgument(
-        "snapshot upload-policy shape disagrees with this uploader's config");
-  }
-  policy_rng_.RestoreState(rng_state);
-  queue_ = std::move(queue);
-  if (svt_) svt_->RestoreState(svt_state);
-  return Status::OK();
 }
 
 SharedRows OwnerUploader::Emit(size_t take, size_t rows, Rng* share_rng) {
@@ -113,5 +76,30 @@ SharedRows OwnerUploader::BuildBatch(
   }
   return SharedRows(kSrcWidth);
 }
+
+template <class A>
+void Visit(A& a, FieldRef<A, OwnerUploader> uploader) {
+  Visit(a, uploader.policy_rng_);
+  VisitList(a, uploader.queue_, [&](auto& rec) { Visit(a, rec); });
+  const bool want_svt = uploader.svt_ != nullptr;
+  bool has_svt = want_svt;
+  const uint8_t flag = a.U8(has_svt);
+  NumericAboveNoisyThreshold::State svt;
+  if (want_svt) svt = uploader.svt_->ExportState();
+  if (has_svt) {
+    a.U64(svt.noisy_threshold_bits);
+    a.U64(svt.releases);
+  }
+  a.Expect("owner uploader state");
+  a.Check(flag <= 1 && has_svt == want_svt,
+          "snapshot upload-policy shape disagrees with this uploader's "
+          "config");
+  if constexpr (A::kRestoring) {
+    if (want_svt) uploader.svt_->RestoreState(svt);
+  }
+}
+
+template void Visit(CheckpointWriter&, const OwnerUploader&);
+template void Visit(CheckpointReader&, OwnerUploader&);
 
 }  // namespace incshrink

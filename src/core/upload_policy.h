@@ -9,11 +9,9 @@
 #include "src/dp/svt.h"
 #include "src/relational/growing_table.h"
 #include "src/secret/shared_rows.h"
+#include "src/storage/checkpoint.h"
 
 namespace incshrink {
-
-class CheckpointWriter;
-class CheckpointReader;
 
 /// \brief Owner-side record synchronization policy (paper Section 8
 /// "Connecting with DP-Sync", following DP-Sync's private strategies).
@@ -71,16 +69,15 @@ class OwnerUploader {
 
   const UploadPolicyConfig& config() const { return config_; }
 
-  /// Checkpoint support: serializes the policy's mutable state — the policy
-  /// RNG cursor, the pending queue (plaintext the owner holds anyway; a
-  /// snapshot is owner-side state) and, for the SVT policy, the noised
-  /// threshold and release counter.
-  void SaveTo(CheckpointWriter* writer) const;
-  /// Restores the state saved by SaveTo into an uploader constructed with
-  /// the same policy config. Never draws randomness; fails closed when the
-  /// snapshot's policy shape (SVT present or not) disagrees with this
-  /// uploader's.
-  Status RestoreFrom(CheckpointReader* reader);
+  /// Checkpoint field order (src/storage/checkpoint.h) of the policy's
+  /// mutable state: the policy RNG cursor, the pending queue (plaintext the
+  /// owner holds anyway; a snapshot is owner-side state), an SVT flag and, for
+  /// the SVT policy, the noised threshold and release counter. Restore into a
+  /// scratch uploader constructed with the same policy config: restoring
+  /// never draws and rejects a snapshot whose policy shape (SVT present or
+  /// not) disagrees with the uploader's.
+  template <class A>
+  friend void Visit(A& a, FieldRef<A, OwnerUploader> uploader);
 
  private:
   /// Dequeues up to `take` real records and pads the batch to `rows` total.

@@ -20,30 +20,6 @@ bool UploadChannel::TryPush(std::vector<uint8_t> frame) {
   return true;
 }
 
-Status UploadChannel::Restore(std::vector<std::vector<uint8_t>> frames,
-                              const CounterState& counters) {
-  if (frames.size() > capacity_) {
-    return Status::InvalidArgument(
-        "snapshot backlog exceeds this channel's capacity");
-  }
-  if (counters.frames_popped + frames.size() != counters.frames_pushed) {
-    return Status::InvalidArgument(
-        "snapshot channel counters inconsistent with its backlog");
-  }
-  if (counters.max_depth > capacity_ || frames.size() > counters.max_depth) {
-    return Status::InvalidArgument(
-        "snapshot channel high-water mark inconsistent");
-  }
-  queue_.assign(std::make_move_iterator(frames.begin()),
-                std::make_move_iterator(frames.end()));
-  frames_pushed_ = counters.frames_pushed;
-  frames_popped_ = counters.frames_popped;
-  push_rejects_ = counters.push_rejects;
-  bytes_pushed_ = counters.bytes_pushed;
-  max_depth_ = static_cast<size_t>(counters.max_depth);
-  return Status::OK();
-}
-
 bool UploadChannel::TryPop(std::vector<uint8_t>* frame) {
   if (queue_.empty()) return false;
   *frame = std::move(queue_.front());
@@ -56,5 +32,29 @@ const std::vector<uint8_t>& UploadChannel::Peek(size_t i) const {
   INCSHRINK_CHECK_LT(i, queue_.size());
   return queue_[i];
 }
+
+template <class A>
+void Visit(A& a, FieldRef<A, UploadChannel> channel, uint32_t tag) {
+  a.BeginSection(tag);
+  VisitList(a, channel.queue_, [&](auto& frame) { a.Bytes(frame); });
+  a.U64(channel.frames_pushed_);
+  a.U64(channel.frames_popped_);
+  a.U64(channel.push_rejects_);
+  a.U64(channel.bytes_pushed_);
+  a.U64(channel.max_depth_);
+  a.EndSection();
+  a.Expect("upload channel backlog");
+  const size_t depth = channel.queue_.size();
+  a.Check(depth <= channel.capacity_,
+          "snapshot backlog exceeds this channel's capacity");
+  a.Check(channel.frames_popped_ + depth == channel.frames_pushed_,
+          "snapshot channel counters inconsistent with its backlog");
+  a.Check(channel.max_depth_ <= channel.capacity_ &&
+              depth <= channel.max_depth_,
+          "snapshot channel high-water mark inconsistent");
+}
+
+template void Visit(CheckpointWriter&, const UploadChannel&, uint32_t);
+template void Visit(CheckpointReader&, UploadChannel&, uint32_t);
 
 }  // namespace incshrink

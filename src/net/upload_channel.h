@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "src/common/status.h"
+#include "src/storage/checkpoint.h"
 
 namespace incshrink {
 
@@ -79,26 +80,13 @@ class UploadChannel {
   /// High-water mark of the queue depth over the channel's lifetime.
   size_t max_depth() const { return max_depth_; }
 
-  /// Checkpoint support: copies of the queued frames, oldest first. The
-  /// backlog is public transport state (opaque frames already committed to
-  /// the wire), so persisting it leaks nothing beyond the depth counters.
-  std::vector<std::vector<uint8_t>> PendingFrames() const {
-    return {queue_.begin(), queue_.end()};
-  }
-
-  /// Checkpoint-restore path: replaces the backlog and lifetime counters
-  /// wholesale. Fails closed when the snapshot claims more queued frames
-  /// than this channel's capacity admits, or counters that could not have
-  /// produced the backlog (popped + queued != pushed).
-  struct CounterState {
-    uint64_t frames_pushed = 0;
-    uint64_t frames_popped = 0;
-    uint64_t push_rejects = 0;
-    uint64_t bytes_pushed = 0;
-    uint64_t max_depth = 0;
-  };
-  Status Restore(std::vector<std::vector<uint8_t>> frames,
-                 const CounterState& counters);
+  /// Checkpoint field order (src/storage/checkpoint.h), as section `tag`: the
+  /// queued frames, oldest first (public transport state), then the lifetime
+  /// counters. Restore into a scratch channel of the deployment's capacity,
+  /// which rejects a larger backlog and counters that could not have
+  /// produced the backlog.
+  template <class A>
+  friend void Visit(A& a, FieldRef<A, UploadChannel> channel, uint32_t tag);
 
  private:
   size_t capacity_;

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <limits>
 
-#include "src/storage/checkpoint.h"
-
 namespace incshrink {
 
 constexpr Word kMaxWord = std::numeric_limits<Word>::max();
@@ -12,23 +10,23 @@ constexpr Word kMaxWord = std::numeric_limits<Word>::max();
 void WindowJoinCounter::Relation::AppendStep(
     const std::vector<LogicalRecord>& recs) {
   if (recs.empty()) return;
-  std::vector<Arrival> sorted;
+  std::vector<Arrival>& sorted = runs.emplace_back().arrivals;
   sorted.reserve(recs.size());
   for (const LogicalRecord& rec : recs) sorted.push_back({rec.key, rec.date});
   std::sort(sorted.begin(), sorted.end());
-  Append(std::move(sorted));
+  Bound(runs.size() - 1);
 }
 
-void WindowJoinCounter::Relation::Append(std::vector<Arrival> sorted) {
-  Run run{std::move(sorted), kMaxWord, 0, 0};
+void WindowJoinCounter::Relation::Bound(size_t i) {
+  Run& run = runs[i];
+  run.min_date = kMaxWord;
+  run.max_date = 0;
   for (const Arrival& a : run.arrivals) {
     run.min_date = std::min(run.min_date, a.date);
     run.max_date = std::max(run.max_date, a.date);
   }
-  run.prefix_max = runs.empty()
-                       ? run.max_date
-                       : std::max(run.max_date, runs.back().prefix_max);
-  runs.push_back(std::move(run));
+  run.prefix_max =
+      i == 0 ? run.max_date : std::max(run.max_date, runs[i - 1].prefix_max);
 }
 
 uint64_t WindowJoinCounter::Relation::CountMatches(Word key, int64_t lo,
@@ -94,54 +92,40 @@ uint64_t WindowJoinCounter::CountPairsWithT2In(Word key_lo, Word key_hi,
   return n;
 }
 
-void WindowJoinCounter::SaveTo(CheckpointWriter* writer) const {
-  writer->U64(count_);
-  for (const Relation* rel : {&t1_, &t2_}) {
-    writer->U64(rel->runs.size());
-    for (const Run& run : rel->runs) {
-      writer->U64(run.arrivals.size());
-      for (const Arrival& a : run.arrivals) {
-        writer->U32(a.key);
-        writer->U32(a.date);
+template <class A>
+void Visit(A& a, FieldRef<A, WindowJoinCounter> counter) {
+  a.U64(counter.count_);
+  for (auto* rel : {&counter.t1_, &counter.t2_}) {
+    VisitList(a, rel->runs, [&](auto& run) {
+      VisitList(
+          a, run.arrivals,
+          [&](auto& arrival) {
+            a.U32(arrival.key);
+            a.U32(arrival.date);
+          },
+          [&](uint64_t size) {
+            a.Check(size != 0, "snapshot ground-truth run is empty");
+          });
+      if constexpr (A::kRestoring) {
+        a.Check(std::is_sorted(run.arrivals.begin(), run.arrivals.end()),
+                "snapshot ground-truth run is not sorted");
       }
+    });
+    if constexpr (A::kRestoring) {
+      for (size_t i = 0; i < rel->runs.size(); ++i) rel->Bound(i);
+    }
+    a.Expect("ground-truth runs");
+  }
+  if constexpr (A::kRestoring) {
+    if (a.ok()) {
+      a.Check(counter.CountPairsWithT2In(0, kMaxWord, 0, kMaxWord) ==
+                  counter.count_,
+              "snapshot ground-truth count disagrees with its runs");
     }
   }
 }
 
-Status WindowJoinCounter::RestoreFrom(CheckpointReader* reader) {
-  // Decode into a scratch counter; commit only after everything validated,
-  // so a failed restore leaves this counter untouched.
-  WindowJoinCounter restored(query_);
-  const uint64_t count = reader->U64();
-  for (Relation* rel : {&restored.t1_, &restored.t2_}) {
-    const uint64_t num_runs = reader->U64();
-    for (uint64_t r = 0; r < num_runs && reader->ok(); ++r) {
-      const uint64_t size = reader->U64();
-      if (reader->ok() && size == 0) {
-        return Status::InvalidArgument("snapshot ground-truth run is empty");
-      }
-      std::vector<Arrival> arrivals;
-      for (uint64_t i = 0; i < size && reader->ok(); ++i) {
-        const Word key = reader->U32();
-        const Word date = reader->U32();
-        arrivals.push_back({key, date});
-      }
-      if (!reader->ok()) break;
-      if (!std::is_sorted(arrivals.begin(), arrivals.end())) {
-        return Status::InvalidArgument(
-            "snapshot ground-truth run is not sorted");
-      }
-      rel->Append(std::move(arrivals));
-    }
-    INCSHRINK_RETURN_NOT_OK(reader->ExpectOk("ground-truth runs"));
-  }
-  if (restored.CountPairsWithT2In(0, kMaxWord, 0, kMaxWord) != count) {
-    return Status::InvalidArgument(
-        "snapshot ground-truth count disagrees with its runs");
-  }
-  restored.count_ = count;
-  *this = std::move(restored);
-  return Status::OK();
-}
+template void Visit(CheckpointWriter&, const WindowJoinCounter&);
+template void Visit(CheckpointReader&, WindowJoinCounter&);
 
 }  // namespace incshrink

@@ -5,11 +5,9 @@
 
 #include "src/common/status.h"
 #include "src/relational/growing_table.h"
+#include "src/storage/checkpoint.h"
 
 namespace incshrink {
-
-class CheckpointWriter;
-class CheckpointReader;
 
 /// \brief Logical windowed-join count query q_t(D_t).
 ///
@@ -65,14 +63,13 @@ class WindowJoinCounter {
   uint64_t CountPairsWithT2In(Word key_lo, Word key_hi, Word date_lo,
                               Word date_hi) const;
 
-  /// Checkpoint support: the count, then per relation the run sizes and
-  /// their {key, date} pairs in stored order. Run bounds are derived again
-  /// on restore.
-  void SaveTo(CheckpointWriter* writer) const;
-  /// Restores the state saved by SaveTo. Fails closed, leaving the counter
-  /// untouched, unless every run is non-empty and sorted and the count
-  /// equals a full recount of the restored runs.
-  Status RestoreFrom(CheckpointReader* reader);
+  /// Checkpoint field order (src/storage/checkpoint.h): the count, then per
+  /// relation the count-prefixed runs, each its count-prefixed {key, date}
+  /// pairs in stored order. Run bounds are derived again on restore, which
+  /// rejects an empty or unsorted run and a count other than a full recount
+  /// of the restored runs. Restore into a scratch counter.
+  template <class A>
+  friend void Visit(A& a, FieldRef<A, WindowJoinCounter> counter);
 
  private:
   struct Arrival {
@@ -94,8 +91,9 @@ class WindowJoinCounter {
 
     /// Sorts one step's records into a run (none if empty).
     void AppendStep(const std::vector<LogicalRecord>& recs);
-    /// Appends `sorted`, a non-empty sorted step of arrivals, as a run.
-    void Append(std::vector<Arrival> sorted);
+    /// Derives run `i`'s date bounds from its arrivals and its prefix max
+    /// from run i - 1's.
+    void Bound(size_t i);
     /// Arrivals with `key` and a date in [lo, hi], clipped to the date
     /// range, across every run.
     uint64_t CountMatches(Word key, int64_t lo, int64_t hi) const;

@@ -35,33 +35,25 @@ void CheckpointWriter::EndSection() {
   open_sections_.pop_back();
 }
 
-void CheckpointWriter::WriteRng(const RngState& state) {
-  for (uint64_t word : state.s) U64(word);
-  U64(state.cached_normal_bits);
-  U8(state.have_cached_normal ? 1 : 0);
+void CheckpointWriter::BeginContainer() {
+  open_containers_.push_back(w_.BeginLength());
+  w_.Raw(kMagic);
+  w_.U8(kVersion);
 }
 
-void CheckpointWriter::WriteStats(const CircuitStats& stats) {
-  U64(stats.and_gates);
-  U64(stats.xor_gates);
-  U64(stats.bytes);
-  U64(stats.rounds);
+size_t CheckpointWriter::EndContainer() {
+  assert(!open_containers_.empty() && "EndContainer without BeginContainer");
+  const size_t at = open_containers_.back();
+  assert((open_sections_.empty() || open_sections_.back() < at) &&
+         "EndContainer with sections open inside it");
+  open_containers_.pop_back();
+  const size_t start = at + 8;
+  w_.U64(Fnv1a64(w_.data() + start, w_.size() - start));
+  w_.EndLength(at);
+  return w_.size() - start;
 }
 
-void CheckpointWriter::WriteWordShares(const WordShares& shares) {
-  U32(shares.s0);
-  U32(shares.s1);
-}
-
-void CheckpointWriter::WriteRecord(const LogicalRecord& rec) {
-  U64(rec.step);
-  U32(rec.rid);
-  U32(rec.key);
-  U32(rec.date);
-  U32(rec.payload);
-}
-
-void CheckpointWriter::WriteSharedRows(const SharedRows& rows) {
+void CheckpointWriter::Rows(const SharedRows& rows) {
   for (const int server : {0, 1}) {
     const size_t len_at = w_.BeginLength();
     AppendShareBlob(&w_, rows, server);
@@ -70,7 +62,8 @@ void CheckpointWriter::WriteSharedRows(const SharedRows& rows) {
 }
 
 std::vector<uint8_t> CheckpointWriter::Finish() {
-  assert(open_sections_.empty() && "Finish with open sections");
+  assert(open_sections_.empty() && open_containers_.empty() &&
+         "Finish with open sections");
   w_.U64(Fnv1a64(w_.data(), w_.size()));
   return w_.Take();
 }
@@ -78,7 +71,7 @@ std::vector<uint8_t> CheckpointWriter::Finish() {
 // --- CheckpointReader -------------------------------------------------------
 
 Result<CheckpointReader> CheckpointReader::Open(
-    const std::vector<uint8_t>& bytes) {
+    std::span<const uint8_t> bytes) {
   if (bytes.size() < kHeaderSize + kTrailerSize) {
     return Status::InvalidArgument(
         "snapshot too short to hold an ICKP header and checksum");
@@ -102,8 +95,8 @@ Result<CheckpointReader> CheckpointReader::Open(
 }
 
 void CheckpointReader::BeginSection(uint32_t tag) {
-  const uint32_t got = U32();
-  const uint64_t len = U64();
+  const uint32_t got = r_.U32();
+  const uint64_t len = r_.U64();
   if (got != tag) r_.Fail();
   r_.BeginScope(len);
 }
@@ -114,58 +107,39 @@ void CheckpointReader::EndSection() {
   r_.EndScope();
 }
 
-RngState CheckpointReader::ReadRng() {
-  RngState state;
-  for (uint64_t& word : state.s) word = U64();
-  state.cached_normal_bits = U64();
-  const uint8_t flag = U8();
-  if (flag > 1) r_.Fail();  // canonical bool encoding only
-  state.have_cached_normal = flag == 1;
-  return state;
-}
-
-CircuitStats CheckpointReader::ReadStats() {
-  CircuitStats stats;
-  stats.and_gates = U64();
-  stats.xor_gates = U64();
-  stats.bytes = U64();
-  stats.rounds = U64();
-  return stats;
-}
-
-WordShares CheckpointReader::ReadWordShares() {
-  WordShares shares;
-  shares.s0 = U32();
-  shares.s1 = U32();
-  return shares;
-}
-
-LogicalRecord CheckpointReader::ReadRecord() {
-  LogicalRecord rec;
-  rec.step = U64();
-  rec.rid = U32();
-  rec.key = U32();
-  rec.date = U32();
-  rec.payload = U32();
-  return rec;
-}
-
-Result<SharedRows> CheckpointReader::ReadSharedRows() {
+void CheckpointReader::Rows(SharedRows& rows) {
   const std::span<const uint8_t> blob0 = r_.Bytes();
   const std::span<const uint8_t> blob1 = r_.Bytes();
-  INCSHRINK_RETURN_NOT_OK(ExpectOk("snapshot share blobs"));
+  Expect("snapshot share blobs");
+  if (!ok()) return;
   // CombineShareBlobs re-validates dimensions, overflow and trailing bytes —
   // the same hardened path hostile upload frames go through — reading each
   // blob in place.
-  return CombineShareBlobs(blob0, blob1);
+  Result<SharedRows> combined = CombineShareBlobs(blob0, blob1);
+  if (!combined.ok()) {
+    Reject(combined.status());
+    return;
+  }
+  rows = std::move(combined).value();
+}
+
+void CheckpointReader::Expect(const char* what) {
+  if (!ok()) Reject(ExpectOk(what));
+}
+
+void CheckpointReader::Reject(Status st) {
+  if (rejected_.ok()) rejected_ = std::move(st);
+  r_.Fail();
 }
 
 Status CheckpointReader::ExpectOk(const char* what) const {
+  if (!rejected_.ok()) return rejected_;
   if (r_.ok()) return Status::OK();
   return Status::InvalidArgument(std::string("malformed snapshot: ") + what);
 }
 
 Status CheckpointReader::Finish() const {
+  if (!rejected_.ok()) return rejected_;
   if (!r_.ok()) return Status::InvalidArgument("malformed snapshot");
   if (r_.open_scopes() != 0) {
     return Status::InvalidArgument("snapshot decoder left a section open");

@@ -64,4 +64,34 @@ Status OutsourcedTable::Restore(uint64_t first_retained, uint64_t total_rows,
   return Status::OK();
 }
 
+template <class A>
+void Visit(A& a, FieldRef<A, OutsourcedTable> table, uint32_t tag,
+           uint64_t steps, uint64_t floor) {
+  a.BeginSection(tag);
+  a.U64(table.first_retained_);
+  a.U64(table.total_rows_);
+  VisitList(
+      a, table.batches_,
+      [&](auto& batch) {
+        Visit(a, batch);
+        a.Check(batch.width() == table.width_,
+                "snapshot store batch has the wrong row width");
+      },
+      [&](uint64_t count) {
+        a.Expect("outsourced store header");
+        a.Check(table.first_retained_ == floor,
+                "snapshot store's first retained step is not its clock's "
+                "floor");
+        a.Check(count == steps - floor,
+                "snapshot store holds the wrong number of batches");
+      });
+  a.EndSection();
+  a.Expect("outsourced store");
+}
+
+template void Visit(CheckpointWriter&, const OutsourcedTable&, uint32_t,
+                    uint64_t, uint64_t);
+template void Visit(CheckpointReader&, OutsourcedTable&, uint32_t, uint64_t,
+                    uint64_t);
+
 }  // namespace incshrink

@@ -6,6 +6,7 @@
 #include "src/common/rng.h"
 #include "src/common/status.h"
 #include "src/secret/shared_rows.h"
+#include "src/storage/checkpoint.h"
 
 namespace incshrink {
 
@@ -57,12 +58,21 @@ class OutsourcedTable {
   /// first_retained()). `step` may not exceed steps().
   void EvictBefore(uint64_t step);
 
-  /// Checkpoint-restore path: replaces the held batches and the lifetime
-  /// counters wholesale. Rejects any batch whose width disagrees with this
-  /// table's width and a `total_rows` below the held rows (hostile
-  /// snapshots must fail closed, not corrupt DS).
+  /// Replaces the held batches and the lifetime counters wholesale. Rejects
+  /// any batch whose width disagrees with this table's width and a
+  /// `total_rows` below the held rows.
   Status Restore(uint64_t first_retained, uint64_t total_rows,
                  std::vector<SharedRows> batches);
+
+  /// Checkpoint field order (src/storage/checkpoint.h), as section `tag`: the
+  /// first retained step, the lifetime row total, then the count-prefixed
+  /// held batches. `steps` and `floor` are the upload count and retention
+  /// floor the restored clock implies: restoring rejects any other first
+  /// retained step or batch count before a batch is read, and any batch
+  /// whose width is not this table's. Restore into a scratch table.
+  template <class A>
+  friend void Visit(A& a, FieldRef<A, OutsourcedTable> table, uint32_t tag,
+                    uint64_t steps, uint64_t floor);
 
  private:
   size_t width_;

@@ -79,12 +79,6 @@ Result<SharedRows> CombineShareBlobs(std::span<const uint8_t> server0,
   return SharedRows(b0.width, std::move(b0.words), std::move(b1.words));
 }
 
-Result<SharedRows> CombineShareBlobs(const std::vector<uint8_t>& server0,
-                                     const std::vector<uint8_t>& server1) {
-  return CombineShareBlobs(std::span<const uint8_t>(server0),
-                           std::span<const uint8_t>(server1));
-}
-
 namespace {
 
 constexpr uint8_t kFrameMagic[3] = {'I', 'U', 'F'};

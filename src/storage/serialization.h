@@ -35,11 +35,9 @@ struct ShareBlob {
 };
 Result<ShareBlob> ParseShareBlob(const std::vector<uint8_t>& bytes);
 
-/// Reassembles a SharedRows from the two servers' blobs. Fails unless both
-/// blobs agree on dimensions.
-Result<SharedRows> CombineShareBlobs(const std::vector<uint8_t>& server0,
-                                     const std::vector<uint8_t>& server1);
-/// The same, over borrowed blobs (a checkpoint parses them in place).
+/// Reassembles a SharedRows from the two servers' blobs, read in place
+/// (a checkpoint borrows them from its buffer). Fails unless both blobs
+/// agree on dimensions.
 Result<SharedRows> CombineShareBlobs(std::span<const uint8_t> server0,
                                      std::span<const uint8_t> server1);
 
