@@ -240,10 +240,12 @@ fi
 # resume contract (tests/checkpoint_restore_test.cc is the runtime half of
 # this check). FreshShare is included: re-sharing rows on restore would
 # silently re-randomize the two servers' halves.
-CHECKPOINT_CODEC=src/storage/checkpoint.cc
-if [ -f "$CHECKPOINT_CODEC" ]; then
+# The codec covers both files: checkpoint.h holds the archives' inline field
+# calls and the shared Visit templates every snapshot section is built from.
+CHECKPOINT_CODEC=(src/storage/checkpoint.h src/storage/checkpoint.cc)
+if [ -f "${CHECKPOINT_CODEC[1]}" ]; then
   hits=$(grep -nE '\bRng\s*\(|Next32|Next64|FreshShare|internal_rng|Laplace' \
-         "$CHECKPOINT_CODEC")
+         "${CHECKPOINT_CODEC[@]}")
   if [ -n "$hits" ]; then
     say "FORBIDDEN randomness in the checkpoint codec:"
     echo "$hits"
