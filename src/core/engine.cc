@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <limits>
 
 #include "src/common/logging.h"
@@ -95,19 +96,6 @@ void RestoreStreams(const ProtocolStreams& s, Party* p0, Party* p1,
   proto->RestoreStats(s.stats);
 }
 
-template <class A>
-void VisitLedger(
-    A& a, FieldRef<A, std::vector<PrivacyAccountant::LedgerEntry>> ledger) {
-  a.BeginSection(kTagLedger);
-  VisitList(a, ledger, [&](auto& e) {
-    a.U32(e.rid);
-    a.U32(e.charged);
-    a.U32(e.contributed);
-  });
-  a.EndSection();
-  a.Expect("privacy ledger");
-}
-
 /// One cache shard's rows, counter sharing and insertion sequence.
 template <class A>
 void VisitShard(A& a, FieldRef<A, SharedRows> rows,
@@ -117,53 +105,6 @@ void VisitShard(A& a, FieldRef<A, SharedRows> rows,
           "snapshot cache shard has the wrong row width");
   Visit(a, counter);
   a.U64(seq);
-}
-
-/// CSHD: the FIFO sequence, append cursor and shard count, each shard's
-/// VisitShard through `shard(k)`, a derived-protocol flag and, when set,
-/// each shard's ProtocolStreams through `streams(k)`. The callbacks bind
-/// shard k's fields: the live cache's, or scratch sized to `num_shards`.
-template <class A, class ShardFn, class StreamsFn>
-void VisitCache(A& a, FieldRef<A, uint64_t> seq,
-                FieldRef<A, uint64_t> append_cursor, size_t num_shards,
-                FieldRef<A, bool> derived, bool want_derived,
-                const ShardFn& shard, const StreamsFn& streams) {
-  a.BeginSection(kTagCache);
-  a.U64(seq);
-  a.U64(append_cursor);
-  uint64_t count = num_shards;
-  a.U64(count);
-  a.Expect("sharded cache header");
-  a.Check(count == num_shards,
-          "snapshot shard count disagrees with this engine's configuration");
-  for (uint64_t k = 0; k < count && a.ok(); ++k) shard(k);
-  const uint8_t flag = a.U8(derived);
-  if (derived) {
-    for (uint64_t k = 0; k < count && a.ok(); ++k) streams(k);
-  }
-  a.EndSection();
-  a.Expect("sharded cache");
-  a.Check(flag <= 1 && derived == want_derived,
-          "snapshot cache shape disagrees with this engine's sharding");
-}
-
-/// THTA: the count-prefixed sDPANT threshold sharings, one per shard (none
-/// for other strategies), each through `visit_theta`.
-template <class A, class List, class F>
-void VisitThetas(A& a, List& thetas, const F& visit_theta, size_t num_ants) {
-  a.BeginSection(kTagTheta);
-  VisitList(a, thetas, visit_theta);
-  a.EndSection();
-  a.Expect("ANT thresholds");
-  a.Check(thetas.size() == num_ants,
-          "snapshot strategy state disagrees with this engine's strategy");
-}
-
-template <class A>
-void VisitView(A& a, FieldRef<A, SharedRows> rows) {
-  VisitSection(a, kTagView, rows);
-  a.Expect("materialized view");
-  a.Check(rows.width() == kViewWidth, "snapshot view has the wrong row width");
 }
 
 template <class A>
@@ -235,6 +176,109 @@ void Visit(A& a, FieldRef<A, EngineLogs> logs) {
   VisitList(a, logs.upload_rows_t1, [&](auto& v) { a.U64(v); });
   VisitList(a, logs.upload_rows_t2, [&](auto& v) { a.U64(v); });
 }
+
+namespace {
+
+/// One engine snapshot's sections for archive A: the live members when
+/// saving (by const reference, so no share array, run or frame is copied;
+/// the small clock, stream and ledger values are exported first), scratch
+/// when restoring. `shard(k)` and `shard_streams(k)` visit cache shard k.
+template <class A>
+struct EngineSections {
+  FieldRef<A, EngineClocks> clocks;
+  FieldRef<A, ProtocolStreams> streams;
+  FieldRef<A, std::vector<PrivacyAccountant::LedgerEntry>> ledger;
+  FieldRef<A, OutsourcedTable> store1;
+  FieldRef<A, OutsourcedTable> store2;
+  FieldRef<A, uint64_t> cache_seq;
+  FieldRef<A, uint64_t> append_cursor;
+  FieldRef<A, bool> derived;
+  std::function<void(size_t)> shard;
+  std::function<void(size_t)> shard_streams;
+  FieldRef<A, std::vector<WordShares>> thetas;
+  FieldRef<A, SharedRows> view;
+  FieldRef<A, WindowJoinCounter> truth;
+  FieldRef<A, EngineLogs> logs;
+  FieldRef<A, UploadChannel> channel1;
+  FieldRef<A, UploadChannel> channel2;
+};
+
+/// The engine's section order, once for both archives. The shape arguments
+/// are this engine's; a restore rejects a snapshot of another shape.
+template <class A>
+void VisitEngine(A& a, const IncShrinkConfig& config, size_t num_shards,
+                 bool derived_shards, size_t num_ants,
+                 const EngineSections<A>& s) {
+  VisitFingerprint(a, kTagFingerprint, ConfigFingerprint(config),
+                   kFingerprintWhat, kConfigMismatch);
+  VisitSection(a, kTagClocks, s.clocks);
+  VisitSection(a, kTagRandomness, s.streams);
+  a.Expect("engine clocks and randomness");
+  a.BeginSection(kTagLedger);
+  VisitList(a, s.ledger, [&](auto& e) {
+    a.U32(e.rid);
+    a.U32(e.charged);
+    a.U32(e.contributed);
+  });
+  a.EndSection();
+  a.Expect("privacy ledger");
+  // Every store holds exactly the batches at or above the clock's retention
+  // floor; filter views never upload T2, so store 2 stays empty.
+  const uint64_t t = s.clocks.t;
+  const uint64_t floor = TransformProtocol::RetainFrom(config, t);
+  const uint64_t steps2 = config.view_kind != ViewKind::kFilter ? t : 0;
+  Visit(a, s.store1, kTagStore1, t, floor);
+  Visit(a, s.store2, kTagStore2, steps2, std::min(floor, steps2));
+  // CSHD: the FIFO sequence, append cursor and shard count, each shard's
+  // VisitShard, then a derived-protocol flag and, when set, each shard's
+  // ProtocolStreams.
+  a.BeginSection(kTagCache);
+  a.U64(s.cache_seq);
+  a.U64(s.append_cursor);
+  uint64_t count = num_shards;
+  a.U64(count);
+  a.Expect("sharded cache header");
+  a.Check(count == num_shards,
+          "snapshot shard count disagrees with this engine's configuration");
+  for (uint64_t k = 0; k < count && a.ok(); ++k) s.shard(k);
+  const uint8_t flag = a.U8(s.derived);
+  if (s.derived) {
+    for (uint64_t k = 0; k < count && a.ok(); ++k) s.shard_streams(k);
+  }
+  a.EndSection();
+  a.Expect("sharded cache");
+  a.Check(flag <= 1 && s.derived == derived_shards,
+          "snapshot cache shape disagrees with this engine's sharding");
+  // THTA: the sDPANT threshold sharings, one per shard (none for other
+  // strategies).
+  a.BeginSection(kTagTheta);
+  VisitList(a, s.thetas, [&](auto& theta) { Visit(a, theta); });
+  a.EndSection();
+  a.Expect("ANT thresholds");
+  a.Check(s.thetas.size() == num_ants,
+          "snapshot strategy state disagrees with this engine's strategy");
+  VisitSection(a, kTagView, s.view);
+  a.Expect("materialized view");
+  a.Check(s.view.width() == kViewWidth,
+          "snapshot view has the wrong row width");
+  VisitSection(a, kTagTruth, s.truth);
+  a.Expect("ground-truth counter");
+  VisitSection(a, kTagLogs, s.logs);
+  a.Expect("engine logs");
+  if constexpr (A::kRestoring) {
+    if (a.ok()) {
+      a.Check(s.logs.upload_rows_t1.size() == t &&
+                  s.logs.upload_rows_t2.size() == t &&
+                  StoreMatchesLog(s.store1, s.logs.upload_rows_t1) &&
+                  StoreMatchesLog(s.store2, s.logs.upload_rows_t2),
+              "snapshot stores disagree with the logged upload sizes");
+    }
+  }
+  Visit(a, s.channel1, kTagChannel1);
+  Visit(a, s.channel2, kTagChannel2);
+}
+
+}  // namespace
 
 Engine::Engine(const IncShrinkConfig& config)
     : config_(AdjustForStrategy(config)),
@@ -761,42 +805,25 @@ Status Engine::SaveSections(CheckpointWriter& w) {
     return Status::FailedPrecondition(
         "cannot checkpoint between BeginStep and FinishStep");
   }
-  const uint64_t floor = TransformProtocol::RetainFrom(config_, t_);
-  const uint64_t steps2 = config_.view_kind != ViewKind::kFilter ? t_ : 0;
-  VisitFingerprint(w, kTagFingerprint, ConfigFingerprint(config_),
-                   kFingerprintWhat, kConfigMismatch);
-  VisitSection(w, kTagClocks,
-               EngineClocks{t_, frames_drained_, filter_truth_,
-                            total_real_entries_});
-  VisitSection(w, kTagRandomness, ExportStreams(&s0_, &s1_, &proto_));
-  VisitLedger(w, accountant_.ExportLedger());
-  Visit(w, store1_, kTagStore1, t_, floor);
-  Visit(w, store2_, kTagStore2, steps2, std::min(floor, steps2));
   const ShardedSecureCache& cache = cache_;
   const bool derived = cache_.shard_party(0, 0) != nullptr;
-  VisitCache(
-      w, *cache_.seq(), cache.append_cursor(), cache.num_shards(), derived,
-      derived,
-      [&](size_t k) {
-        VisitShard(w, cache.shard(k).rows(), cache.shard(k).counter(),
-                   cache.shard(k).seq_value());
-      },
-      [&](size_t k) {
-        Visit(w, ExportStreams(cache_.shard_party(k, 0),
-                               cache_.shard_party(k, 1),
-                               cache_.shard_proto(k)));
-      });
-  VisitThetas(
-      w, ants_,
-      [&](const std::unique_ptr<ShrinkAnt>& ant) {
-        Visit(w, ant->shared_theta());
-      },
-      ants_.size());
-  VisitView(w, view_.rows());
-  VisitSection(w, kTagTruth, truth_);
-  VisitSection(w, kTagLogs, logs_);
-  Visit(w, channel1_, kTagChannel1);
-  Visit(w, channel2_, kTagChannel2);
+  std::vector<WordShares> thetas;
+  for (const auto& ant : ants_) thetas.push_back(ant->shared_theta());
+  VisitEngine(
+      w, config_, cache.num_shards(), derived, ants_.size(),
+      {EngineClocks{t_, frames_drained_, filter_truth_, total_real_entries_},
+       ExportStreams(&s0_, &s1_, &proto_), accountant_.ExportLedger(),
+       store1_, store2_, *cache_.seq(), cache.append_cursor(), derived,
+       [&](size_t k) {
+         VisitShard(w, cache.shard(k).rows(), cache.shard(k).counter(),
+                    cache.shard(k).seq_value());
+       },
+       [&](size_t k) {
+         Visit(w, ExportStreams(cache_.shard_party(k, 0),
+                                cache_.shard_party(k, 1),
+                                cache_.shard_proto(k)));
+       },
+       thetas, view_.rows(), truth_, logs_, channel1_, channel2_});
   return Status::OK();
 }
 
@@ -831,41 +858,15 @@ Status Engine::RestoreCheckpoint(std::span<const uint8_t> snapshot) {
   UploadChannel ch1(config_.upload_channel_capacity);
   UploadChannel ch2(config_.upload_channel_capacity);
 
-  VisitFingerprint(r, kTagFingerprint, ConfigFingerprint(config_),
-                   kFingerprintWhat, kConfigMismatch);
-  VisitSection(r, kTagClocks, clocks);
-  VisitSection(r, kTagRandomness, streams);
-  r.Expect("engine clocks and randomness");
-  VisitLedger(r, ledger);
-  // Every store holds exactly the batches at or above the restored clock's
-  // retention floor; filter views never upload T2, so store 2 stays empty.
-  const uint64_t t = clocks.t;
-  const uint64_t floor = TransformProtocol::RetainFrom(config_, t);
-  const uint64_t steps2 = config_.view_kind != ViewKind::kFilter ? t : 0;
-  Visit(r, store1, kTagStore1, t, floor);
-  Visit(r, store2, kTagStore2, steps2, std::min(floor, steps2));
-  VisitCache(
-      r, cache_seq, append_cursor, num_shards, derived, derived_shards,
-      [&](size_t k) {
-        VisitShard(r, shard_rows[k], shard_counters[k], shard_seqs[k]);
-      },
-      [&](size_t k) { Visit(r, shard_streams[k]); });
-  VisitThetas(
-      r, thetas, [&](WordShares& theta) { Visit(r, theta); }, ants_.size());
-  VisitView(r, view_rows);
-  VisitSection(r, kTagTruth, truth);
-  r.Expect("ground-truth counter");
-  VisitSection(r, kTagLogs, logs);
-  r.Expect("engine logs");
-  if (r.ok()) {
-    r.Check(logs.upload_rows_t1.size() == t &&
-                logs.upload_rows_t2.size() == t &&
-                StoreMatchesLog(store1, logs.upload_rows_t1) &&
-                StoreMatchesLog(store2, logs.upload_rows_t2),
-            "snapshot stores disagree with the logged upload sizes");
-  }
-  Visit(r, ch1, kTagChannel1);
-  Visit(r, ch2, kTagChannel2);
+  VisitEngine(
+      r, config_, num_shards, derived_shards, ants_.size(),
+      {clocks, streams, ledger, store1, store2, cache_seq, append_cursor,
+       derived,
+       [&](size_t k) {
+         VisitShard(r, shard_rows[k], shard_counters[k], shard_seqs[k]);
+       },
+       [&](size_t k) { Visit(r, shard_streams[k]); }, thetas, view_rows,
+       truth, logs, ch1, ch2});
   INCSHRINK_RETURN_NOT_OK(r.Finish());
 
   // Commit phase. The ledger restore validates its own invariants and is
@@ -891,7 +892,7 @@ Status Engine::RestoreCheckpoint(std::span<const uint8_t> snapshot) {
   }
   view_.RestoreRows(std::move(view_rows));
   truth_ = std::move(truth);
-  t_ = t;
+  t_ = clocks.t;
   frames_drained_ = clocks.frames_drained;
   filter_truth_ = clocks.filter_truth;
   total_real_entries_ = clocks.total_real_entries;

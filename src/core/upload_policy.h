@@ -55,6 +55,11 @@ class OwnerUploader {
   OwnerUploader(const UploadPolicyConfig& config, uint32_t fixed_rows,
                 bool is_public, uint64_t seed);
 
+  /// The SVT draws through a pointer to policy_rng_, so a move re-points it
+  /// at the destination's generator; the source is left empty.
+  OwnerUploader(OwnerUploader&& other) noexcept;
+  OwnerUploader& operator=(OwnerUploader&& other) noexcept;
+
   /// Enqueues this step's arrivals and returns the batch to upload (may be
   /// empty). `share_rng` provides the owner's sharing randomness.
   SharedRows BuildBatch(uint64_t t, const std::vector<LogicalRecord>& arrivals,

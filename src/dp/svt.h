@@ -45,6 +45,10 @@ class NumericAboveNoisyThreshold {
   /// here would desynchronize the owner's policy stream.
   void RestoreState(const State& state);
 
+  /// Redirects every later draw to `rng`: an owner that holds its generator
+  /// beside this mechanism re-points it when the owner moves.
+  void Rebind(Rng* rng) { rng_ = rng; }
+
  private:
   void RefreshThreshold();
 

@@ -108,11 +108,6 @@ WordShares Protocol2PC::Not(const WordShares& a) {
   return Reshare((RecoverInside(a) ^ 1) & 1);
 }
 
-WordShares Protocol2PC::RowWord(const SharedRows& rows, size_t row,
-                                size_t col) const {
-  return WordShares{rows.share0_at(row, col), rows.share1_at(row, col)};
-}
-
 void Protocol2PC::SetRowWord(SharedRows* rows, size_t row, size_t col,
                              const WordShares& v) {
   rows->set_share0_at(row, col, v.s0);

@@ -180,9 +180,6 @@ class Protocol2PC {
   // Row-level secure operations over SharedRows
   // ------------------------------------------------------------------
 
-  /// Reads the sharing of word (row, col).
-  WordShares RowWord(const SharedRows& rows, size_t row, size_t col) const;
-
   /// Writes a sharing into word (row, col).
   void SetRowWord(SharedRows* rows, size_t row, size_t col,
                   const WordShares& v);

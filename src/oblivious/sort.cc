@@ -314,16 +314,6 @@ void ObliviousSortBatch(SortJob* jobs, size_t num_jobs,
   }
 }
 
-const char* SortAlgorithmName(SortAlgorithm a) {
-  switch (a) {
-    case SortAlgorithm::kBatcher:
-      return "batcher";
-    case SortAlgorithm::kShuffleSort:
-      return "shuffle_sort";
-  }
-  return "unknown";
-}
-
 void ObliviousSort(Protocol2PC* proto, SharedRows* rows, size_t key_col,
                    bool ascending, const BatchExec& exec) {
   SortJob job{proto, rows, key_col, 0, /*lex=*/false, ascending};

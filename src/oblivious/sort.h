@@ -47,8 +47,6 @@ enum class SortAlgorithm : uint8_t {
   kShuffleSort,
 };
 
-const char* SortAlgorithmName(SortAlgorithm a);
-
 /// Sorts `rows` in place by the 32-bit key in `key_col`.
 /// Ascending if `ascending`, else descending.
 void ObliviousSort(Protocol2PC* proto, SharedRows* rows, size_t key_col,

@@ -29,12 +29,6 @@ std::vector<uint8_t> FaultInjector::FlipBit(const std::vector<uint8_t>& blob,
   return out;
 }
 
-std::vector<uint8_t> FaultInjector::FlipRandomBit(
-    const std::vector<uint8_t>& blob) {
-  INCSHRINK_CHECK(!blob.empty());
-  return FlipBit(blob, rng_.Uniform(blob.size() * 8));
-}
-
 FaultPlan FaultInjector::MakePlan(uint64_t horizon, size_t kills,
                                   size_t corruptions, uint64_t snapshot_bytes,
                                   size_t drops, uint64_t max_drop_rounds) {

@@ -60,8 +60,6 @@ class FaultInjector {
   /// `blob` with absolute bit `bit_index` flipped.
   static std::vector<uint8_t> FlipBit(const std::vector<uint8_t>& blob,
                                       uint64_t bit_index);
-  /// `blob` with one uniformly chosen bit flipped.
-  std::vector<uint8_t> FlipRandomBit(const std::vector<uint8_t>& blob);
 
   /// Draws a fault schedule: `kills` kill events over [1, horizon] plus
   /// `corruptions` torn-write/bit-flip events (parameters resolved against

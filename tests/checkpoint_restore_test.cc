@@ -245,6 +245,91 @@ TEST(FleetMigrationTest, TenantsMigrateBitIdentically) {
 }
 
 // ---------------------------------------------------------------------------
+// DP-ANT upload-policy owners. The owner's SVT draws through a pointer to
+// the owner's policy generator, so an owner moved into place — by a restore,
+// or out of MakeOwner1/2 into a fleet slot — must draw from its own stream.
+// ---------------------------------------------------------------------------
+
+IncShrinkConfig DpAntOwnerConfig() {
+  IncShrinkConfig cfg = CheckpointConfig(Strategy::kDpTimer, 1, 1);
+  for (UploadPolicyConfig* policy :
+       {&cfg.upload_policy1, &cfg.upload_policy2}) {
+    policy->kind = UploadPolicyKind::kDpAntSync;
+    policy->sync_theta = 4;
+  }
+  return cfg;
+}
+
+TEST(DpAntOwnerRestoreTest, RestoredDeploymentsResumeBitIdentical) {
+  const GeneratedWorkload w = SmallWorkload();
+  const IncShrinkConfig cfg = DpAntOwnerConfig();
+  SynchronousDeployment uninterrupted(cfg);
+  ASSERT_TRUE(uninterrupted.Run(w.t1, w.t2).ok());
+  Result<std::vector<uint8_t>> golden = uninterrupted.SaveCheckpoint();
+  ASSERT_TRUE(golden.ok());
+
+  for (uint64_t k = 1; k < kSteps; ++k) {
+    // A cold deployment restored from the step-k snapshot.
+    Result<std::unique_ptr<SynchronousDeployment>> cold =
+        RunWithCrashAtStep(cfg, w.t1, w.t2, k);
+    ASSERT_TRUE(cold.ok()) << "kill step " << k;
+    ExpectEngineIdentical(uninterrupted.engine(), (*cold)->engine());
+    Result<std::vector<uint8_t>> cold_after = (*cold)->SaveCheckpoint();
+    ASSERT_TRUE(cold_after.ok());
+    EXPECT_EQ(*golden, *cold_after) << "cold restore at step " << k;
+
+    // The same snapshot restored over the live deployment that took it.
+    SynchronousDeployment live(cfg);
+    for (uint64_t t = 0; t < k; ++t) {
+      ASSERT_TRUE(live.Step(w.t1[t], w.t2[t]).ok());
+    }
+    Result<std::vector<uint8_t>> blob = live.SaveCheckpoint();
+    ASSERT_TRUE(blob.ok());
+    ASSERT_TRUE(live.RestoreCheckpoint(*blob).ok());
+    for (uint64_t t = k; t < kSteps; ++t) {
+      ASSERT_TRUE(live.Step(w.t1[t], w.t2[t]).ok());
+    }
+    Result<std::vector<uint8_t>> live_after = live.SaveCheckpoint();
+    ASSERT_TRUE(live_after.ok());
+    EXPECT_EQ(*golden, *live_after) << "in-place restore at step " << k;
+  }
+}
+
+TEST(DpAntOwnerRestoreTest, FleetTenantsMatchLockstepAndMigrate) {
+  const GeneratedWorkload w = SmallWorkload();
+  std::vector<DeploymentFleet::TenantSpec> specs(1);
+  specs[0].name = "ant-owners";
+  specs[0].config = DpAntOwnerConfig();
+  specs[0].workload = &w;
+  DeploymentFleet::Options opts;
+  opts.root_seed = 9;
+  opts.num_threads = 1;
+
+  // The fleet's owners are moved into their slots; they must still run the
+  // lockstep deployment's exact policy streams.
+  IncShrinkConfig lockstep_cfg = specs[0].config;
+  lockstep_cfg.seed = DeriveTenantSeed(opts.root_seed, 0);
+  SynchronousDeployment lockstep(lockstep_cfg);
+  ASSERT_TRUE(lockstep.Run(w.t1, w.t2).ok());
+
+  DeploymentFleet reference(specs, opts);
+  reference.RunAll();
+  ExpectEngineIdentical(lockstep.engine(), reference.engine(0));
+
+  // Migration restores the tenant's owners by move as well.
+  DeploymentFleet source(specs, opts);
+  for (int r = 0; r < 4; ++r) source.StepAll();
+  Result<std::vector<uint8_t>> blob = source.CheckpointTenant(0);
+  ASSERT_TRUE(blob.ok());
+  DeploymentFleet migrated(specs, opts);
+  ASSERT_TRUE(migrated.RestoreTenant(0, *blob).ok());
+  migrated.RunAll();
+  ExpectEngineIdentical(lockstep.engine(), migrated.engine(0));
+  EXPECT_EQ(lockstep.owner1().pending(), migrated.owner1(0).pending());
+  EXPECT_EQ(lockstep.owner2().pending(), migrated.owner2(0).pending());
+}
+
+// ---------------------------------------------------------------------------
 // Fail-closed rejection.
 // ---------------------------------------------------------------------------
 

@@ -256,5 +256,29 @@ if [ -f "${CHECKPOINT_CODEC[1]}" ]; then
     exit 1
   fi
 fi
+# The same rule inside every snapshot Visit template outside the codec: each
+# stateful class writes its section's field order as a `void Visit...(A& a`
+# or `Status Visit...(A& a` definition whose archive may start the next line
+# (engine.cc, owner_client.cc, fleet.cc, ...), and the whole body, up to the
+# closing brace in column 0, runs on restore.
+VISIT_FILES=$(grep -rlE '^(void|Status) Visit[A-Za-z]*\((A& |$)' src)
+if [ -n "$VISIT_FILES" ]; then
+  # shellcheck disable=SC2086  # one path per word
+  hits=$(awk '
+    /^(void|Status) Visit[A-Za-z]*\((A& |$)/ { inside = 1 }
+    inside && /(^|[^A-Za-z0-9_])Rng[ \t]*\(|Next32|Next64|FreshShare|Laplace/ {
+      print FILENAME ":" FNR ":" $0
+    }
+    inside && /^}/ { inside = 0 }
+  ' $VISIT_FILES)
+  if [ -n "$hits" ]; then
+    say "FORBIDDEN randomness in a snapshot Visit template:"
+    echo "$hits"
+    echo
+    say "A Visit body runs on restore: it may read and write serialized"
+    say "state only, never draw (src/storage/checkpoint.h)."
+    exit 1
+  fi
+fi
 
 say "OK: no hidden entropy sources found."
