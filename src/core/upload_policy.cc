@@ -22,8 +22,11 @@ OwnerUploader::OwnerUploader(const UploadPolicyConfig& config,
   }
 }
 
-OwnerUploader::OwnerUploader(OwnerUploader&& other) noexcept {
-  *this = std::move(other);
+OwnerUploader::OwnerUploader(OwnerUploader&& other) noexcept
+    : config_(other.config_), fixed_rows_(other.fixed_rows_),
+      is_public_(other.is_public_), policy_rng_(other.policy_rng_),
+      queue_(std::move(other.queue_)), svt_(std::move(other.svt_)) {
+  if (svt_ != nullptr) svt_->Rebind(&policy_rng_);
 }
 
 OwnerUploader& OwnerUploader::operator=(OwnerUploader&& other) noexcept {
