@@ -16,8 +16,8 @@ namespace incshrink {
 /// (storage/checkpoint.h) and the config fingerprint (core/config.h).
 ///
 /// Pure byte shuffling: no randomness, no clock, no syscalls
-/// (tools/check_no_hidden_entropy.sh enforces that here as for src/net/),
-/// because hostile upload frames are decoded through it.
+/// (the pattern rules in tools/lint/secret_api.toml enforce that here as
+/// for src/net/), because hostile upload frames are decoded through it.
 
 /// FNV-1a 64-bit over `size` bytes, continuing from `h` (pass the offset
 /// basis for a fresh hash). Each absorbed byte applies a bijection to the

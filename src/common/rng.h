@@ -102,12 +102,13 @@ class Rng {
 };
 
 /// Fisher-Yates shuffle driven by the seeded stream. This is the one
-/// sanctioned plaintext shuffle: tools/check_no_hidden_entropy.sh bans
-/// std::shuffle/random_shuffle everywhere else so that every reordering in
-/// the repository is reproducible from an explicit seed. (The *oblivious*
-/// shuffle over secret-shared rows is a different animal — see
-/// src/oblivious/shuffle.h, which draws its permutation from the protocol's
-/// jointly seeded resharing stream instead.)
+/// sanctioned plaintext shuffle: the `shuffle-outside-rng` rule in
+/// tools/lint/secret_api.toml bans std::shuffle/random_shuffle everywhere
+/// else so that every reordering in the repository is reproducible from an
+/// explicit seed. (The *oblivious* shuffle over secret-shared rows is a
+/// different animal — see src/oblivious/shuffle.h, which draws its
+/// permutation from the protocol's jointly seeded resharing stream
+/// instead.)
 template <typename RandomIt>
 void SeededShuffle(RandomIt first, RandomIt last, Rng* rng) {
   const auto n = static_cast<uint64_t>(last - first);

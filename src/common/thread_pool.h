@@ -15,10 +15,10 @@ namespace incshrink {
 /// Resolves the worker count used by parallel execution: `requested` when
 /// positive, else the `INCSHRINK_THREADS` environment override, else the
 /// hardware concurrency. This is the *only* place in the repository allowed
-/// to consult the machine's core count (tools/check_no_hidden_entropy.sh
-/// enforces this statically): the resolved value may steer scheduling but
-/// must never reach a simulated result, so experiments stay reproducible on
-/// any machine.
+/// to consult the machine's core count (the `concurrency-outside-pool` rule
+/// in tools/lint/secret_api.toml enforces this statically): the resolved
+/// value may steer scheduling but must never reach a simulated result, so
+/// experiments stay reproducible on any machine.
 int ResolveThreadCount(int requested = 0);
 
 /// \brief Deterministic fork-join thread pool (no work stealing).

@@ -87,9 +87,8 @@ uint64_t ConfigFingerprint(const IncShrinkConfig& config) {
   // order. Deliberately excluded: cache_shard_threads and
   // oblivious_batch_min_layer (scheduling only — results are bit-identical
   // at any value, and a tenant must be able to migrate to a process with a
-  // different worker budget), and the checkpoint knobs themselves (a
-  // snapshot from an auto-checkpointing run restores fine into an engine
-  // that checkpoints on demand only).
+  // different worker budget), and checkpoint_max_bytes (a ceiling on saved
+  // snapshots that changes no run).
   fields.F64(config.eps);
   fields.U64(config.omega);
   fields.U64(config.budget_b);

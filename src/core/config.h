@@ -146,18 +146,11 @@ struct IncShrinkConfig {
   bool compact_transform_output = true;
 
   // --- crash recovery (ICKP snapshots, src/storage/checkpoint.h) ---
-  /// Automatic checkpoint cadence in engine steps: after every
-  /// `checkpoint_interval`-th completed step the engine serializes its full
-  /// resumable state into an in-memory slot (`Engine::last_checkpoint()`)
-  /// for a recovery driver to persist. 0 (the default) disables the
-  /// automatic slot; explicit `Engine::SaveCheckpoint()` always works.
-  /// Snapshotting draws no randomness, so any cadence leaves the run
-  /// bit-identical to an uncheckpointed one.
-  uint32_t checkpoint_interval = 0;
-  /// Ceiling on one serialized snapshot. SaveCheckpoint returns OutOfRange
-  /// instead of producing a larger blob, so a misconfigured deployment
-  /// cannot fill a disk or the wire with a runaway snapshot. Must be at
-  /// least 4096 (header, checksum and section framing need real room).
+  /// Ceiling on one serialized snapshot (taken on demand by
+  /// `Engine::SaveCheckpoint()`). SaveCheckpoint returns OutOfRange instead
+  /// of producing a larger blob, so a misconfigured deployment cannot fill a
+  /// disk or the wire with a runaway snapshot. Must be at least 4096 (header,
+  /// checksum and section framing need real room).
   uint64_t checkpoint_max_bytes = 1ull << 30;
 
   // --- simulation ---

@@ -668,17 +668,6 @@ Status Engine::FinishStep() {
   m.cache_rows = cache_.size();
   logs_.metrics.push_back(m);
   pending_.reset();
-
-  // Automatic checkpoint slot. Snapshotting draws no randomness, so the run
-  // stays bit-identical to an uncheckpointed one at any cadence.
-  if (config_.checkpoint_interval > 0 &&
-      t_ % config_.checkpoint_interval == 0) {
-    Result<std::vector<uint8_t>> snapshot = SaveCheckpoint();
-    if (!snapshot.ok()) return snapshot.status();
-    last_checkpoint_ = std::move(snapshot).value();
-    last_checkpoint_step_ = t_;
-    ++checkpoints_taken_;
-  }
   return Status::OK();
 }
 

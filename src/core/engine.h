@@ -207,17 +207,6 @@ class Engine {
   /// randomness — restored RNG cursors resume the exact party streams.
   Status RestoreCheckpoint(std::span<const uint8_t> snapshot);
 
-  /// Automatic checkpoint slot: when config().checkpoint_interval > 0,
-  /// FinishStep refreshes this after every interval-th completed step so a
-  /// recovery driver can persist it. Empty until the first auto-checkpoint.
-  const std::vector<uint8_t>& last_checkpoint() const {
-    return last_checkpoint_;
-  }
-  /// Step the auto-checkpoint slot was taken at (0 = never).
-  uint64_t last_checkpoint_step() const { return last_checkpoint_step_; }
-  /// Auto-checkpoints taken over the engine's lifetime.
-  uint64_t checkpoints_taken() const { return checkpoints_taken_; }
-
  private:
   /// In-flight state between BeginStep and FinishStep.
   struct PendingStep {
@@ -282,10 +271,6 @@ class Engine {
   uint64_t t_ = 0;
   EngineLogs logs_;
   uint64_t total_real_entries_ = 0;
-
-  std::vector<uint8_t> last_checkpoint_;  ///< auto-checkpoint slot
-  uint64_t last_checkpoint_step_ = 0;
-  uint64_t checkpoints_taken_ = 0;
 };
 
 }  // namespace incshrink

@@ -232,7 +232,8 @@ class Protocol2PC {
   /// Pooled batches take their randomness only from here, serial
   /// submissions only through SerialSites (below), which draws the same
   /// sequence from a local copy of the stream; every draw stays in this
-  /// header (tools/check_no_hidden_entropy.sh enforces the scheduler side).
+  /// header (the `draw-free` rule in tools/lint/secret_api.toml enforces
+  /// the scheduler side).
   /// Inline (with the kernels below): these are the innermost hot loops of
   /// every oblivious sort, and an out-of-line call per word/site erases the
   /// batching win.

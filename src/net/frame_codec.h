@@ -25,9 +25,9 @@ namespace incshrink {
 /// depths only, never from arrival timing.
 ///
 /// Everything here is pure byte shuffling: no randomness, no clock, no
-/// syscalls (tools/check_no_hidden_entropy.sh statically enforces that for
-/// all of src/net/), so hostile-input behavior is exhaustively testable
-/// without a socket in sight.
+/// syscalls (the pattern rules in tools/lint/secret_api.toml statically
+/// enforce that for all of src/net/), so hostile-input behavior is
+/// exhaustively testable without a socket in sight.
 
 /// Size of the connection hello ("IUH1" + u32 channel id).
 inline constexpr size_t kHelloBytes = 8;

@@ -32,8 +32,8 @@ namespace incshrink {
 ///
 /// Determinism contract: this layer moves opaque bytes and counts public
 /// events; it draws no randomness and never reads a clock
-/// (tools/check_no_hidden_entropy.sh statically enforces both for all of
-/// src/net/). The only timing anywhere is the integer millisecond timeout
+/// (the pattern rules in tools/lint/secret_api.toml statically enforce both,
+/// the clock ban for all of src/). The only timing anywhere is the integer millisecond timeout
 /// handed to poll(2)/epoll_wait(2) — clearly marked plumbing that bounds a
 /// blocking wait and feeds nothing back into behavior. Frames arrive on a
 /// connection in FIFO order (TCP) carrying their sequence stamps, each

@@ -18,8 +18,9 @@ namespace incshrink {
 /// in this layer interprets frame contents, draws randomness, or consults
 /// the clock, so a future TCP transport can replace the deque without
 /// touching the engine — and the channel itself can never perturb a
-/// deterministic run (tools/check_no_hidden_entropy.sh statically enforces
-/// that src/net/ stays entropy-free).
+/// deterministic run (the `transport-randomness` rule in
+/// tools/lint/secret_api.toml statically enforces that src/net/ stays
+/// entropy-free).
 ///
 /// Backpressure is public by design: `TryPush` refusing a frame reveals only
 /// the queue depth, which is already a deterministic function of public

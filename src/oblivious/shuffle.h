@@ -38,8 +38,9 @@ namespace incshrink {
 /// The network *topology* (switch placement, layer sizes, depth) is a pure
 /// function of n; only the control bits depend on the permutation. The
 /// permutation itself is drawn exclusively through DrawReshareMasks
-/// (tools/check_no_hidden_entropy.sh pins this), so every draw count is a
-/// pure function of n too and the whole circuit trace is input-invariant.
+/// (the `draw-free` rule in tools/lint/secret_api.toml pins this), so every
+/// draw count is a pure function of n too and the whole circuit trace is
+/// input-invariant.
 
 /// One programmed switch: obliviously swap `pair` iff `swap` (the public
 /// control bit). All switches of a network execute regardless of their

@@ -155,15 +155,6 @@ class CheckpointReader {
   /// Leaves the current section; flips ok() if bytes remain unread in it.
   void EndSection();
 
-  uint64_t U64() { return r_.U64(); }
-  /// Length-prefixed byte string. The length is checked against the bytes
-  /// actually remaining in scope before any allocation happens, so a hostile
-  /// length cannot trigger an allocation bomb.
-  std::vector<uint8_t> Bytes() {
-    const std::span<const uint8_t> bytes = r_.Bytes();
-    return {bytes.begin(), bytes.end()};
-  }
-
   void U8(uint8_t& v) { v = r_.U8(); }
   /// Reads a bool (true iff the byte is 1) and returns the raw byte, so the
   /// caller can reject a non-canonical one with its own message.
@@ -175,7 +166,13 @@ class CheckpointReader {
   void U32(uint32_t& v) { v = r_.U32(); }
   void U64(uint64_t& v) { v = r_.U64(); }
   void F64(double& v) { v = r_.F64(); }
-  void Bytes(std::vector<uint8_t>& out) { out = Bytes(); }
+  /// Length-prefixed byte string. The length is checked against the bytes
+  /// actually remaining in scope before any allocation happens, so a hostile
+  /// length cannot trigger an allocation bomb.
+  void Bytes(std::vector<uint8_t>& out) {
+    const std::span<const uint8_t> bytes = r_.Bytes();
+    out.assign(bytes.begin(), bytes.end());
+  }
   /// Borrows the byte string from the buffer instead of copying it.
   void Bytes(std::span<const uint8_t>& out) { out = r_.Bytes(); }
   /// Combines the two ISR1 blobs, read in place, through the validation

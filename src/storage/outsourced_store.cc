@@ -44,38 +44,20 @@ void OutsourcedTable::EvictBefore(uint64_t step) {
   first_retained_ = step;
 }
 
-Status OutsourcedTable::Restore(uint64_t first_retained, uint64_t total_rows,
-                                std::vector<SharedRows> batches) {
-  uint64_t held = 0;
-  for (const SharedRows& batch : batches) {
-    if (batch.width() != width_) {
-      return Status::InvalidArgument(
-          "snapshot store batch width disagrees with the table width");
-    }
-    held += batch.size();
-  }
-  if (total_rows < held) {
-    return Status::InvalidArgument(
-        "snapshot store total_rows is below its held rows");
-  }
-  batches_ = std::move(batches);
-  first_retained_ = first_retained;
-  total_rows_ = total_rows;
-  return Status::OK();
-}
-
 template <class A>
 void Visit(A& a, FieldRef<A, OutsourcedTable> table, uint32_t tag,
            uint64_t steps, uint64_t floor) {
   a.BeginSection(tag);
   a.U64(table.first_retained_);
   a.U64(table.total_rows_);
+  uint64_t held = 0;
   VisitList(
       a, table.batches_,
       [&](auto& batch) {
         Visit(a, batch);
         a.Check(batch.width() == table.width_,
                 "snapshot store batch has the wrong row width");
+        held += batch.size();
       },
       [&](uint64_t count) {
         a.Expect("outsourced store header");
@@ -85,6 +67,8 @@ void Visit(A& a, FieldRef<A, OutsourcedTable> table, uint32_t tag,
         a.Check(count == steps - floor,
                 "snapshot store holds the wrong number of batches");
       });
+  a.Check(table.total_rows_ >= held,
+          "snapshot store total_rows is below its held rows");
   a.EndSection();
   a.Expect("outsourced store");
 }

@@ -91,8 +91,9 @@ ShardedSecureCache::ShardedSecureCache(Protocol2PC* root_proto,
   for (size_t k = 0; k < num_shards; ++k) {
     const uint64_t derived_seed = DeriveShardSeed(engine_seed, k);
     // Same party-seed expansion the engine applies to its deployment seed.
-    // (tools/check_no_hidden_entropy.sh statically enforces that every
-    // Party/Rng constructed here is seeded from derived_seed.)
+    // (The `shard-seed` rule in tools/lint/secret_api.toml statically
+    // enforces that every Party/Rng constructed here is seeded from
+    // derived_seed.)
     parties_.push_back(
         std::make_unique<Party>(0, derived_seed * 0x9E3779B97F4A7C15ull + 1));
     parties_.push_back(

@@ -16,8 +16,8 @@ namespace incshrink {
 /// `engine_seed`: a splitmix64 substream (the same expansion the fleet uses
 /// for tenants, salted so shard streams never collide with tenant streams).
 /// Public and stable — the equivalence tests reconstruct shard protocols
-/// from it, and tools/check_no_hidden_entropy.sh enforces that shard-local
-/// RNG state comes from nowhere else.
+/// from it, and the `shard-seed` rule in tools/lint/secret_api.toml enforces
+/// that shard-local RNG state comes from nowhere else.
 uint64_t DeriveShardSeed(uint64_t engine_seed, size_t shard_index);
 
 /// Public shard map: which shard the row with global append index `idx`

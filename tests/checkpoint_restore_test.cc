@@ -158,30 +158,31 @@ INSTANTIATE_TEST_SUITE_P(
         std::make_tuple(Strategy::kDpAnt, 4u, 8),
         std::make_tuple(Strategy::kEp, 4u, 8)));
 
-// Checkpointing draws no randomness: an auto-checkpointing run must equal an
-// uncheckpointed one observable for observable.
-TEST(CheckpointNeutralityTest, AutoCheckpointingLeavesRunBitIdentical) {
+// Checkpointing draws no randomness: a run that snapshots its engine after
+// every step must equal an uncheckpointed one observable for observable.
+TEST(CheckpointNeutralityTest, CheckpointingEveryStepLeavesRunBitIdentical) {
   const GeneratedWorkload w = SmallWorkload();
-  IncShrinkConfig plain = CheckpointConfig(Strategy::kDpAnt, 1, 1);
-  IncShrinkConfig snapping = plain;
-  snapping.checkpoint_interval = 1;  // checkpoint after every step
+  const IncShrinkConfig cfg = CheckpointConfig(Strategy::kDpAnt, 1, 1);
 
-  SynchronousDeployment a(plain);
-  SynchronousDeployment b(snapping);
+  SynchronousDeployment a(cfg);
+  SynchronousDeployment b(cfg);
   ASSERT_TRUE(a.Run(w.t1, w.t2).ok());
-  ASSERT_TRUE(b.Run(w.t1, w.t2).ok());
+  std::vector<uint8_t> last;
+  for (size_t i = 0; i < w.t1.size(); ++i) {
+    ASSERT_TRUE(b.Step(w.t1[i], w.t2[i]).ok());
+    Result<std::vector<uint8_t>> snapshot = b.engine().SaveCheckpoint();
+    ASSERT_TRUE(snapshot.ok()) << "step " << i;
+    last = std::move(snapshot).value();
+  }
   ExpectEngineIdentical(a.engine(), b.engine());
-  EXPECT_EQ(b.engine().checkpoints_taken(), kSteps);
-  EXPECT_EQ(b.engine().last_checkpoint_step(), kSteps);
-  EXPECT_FALSE(b.engine().last_checkpoint().empty());
 
-  // The auto slot is a real engine snapshot: it restores into a fresh
-  // engine, and re-snapshotting that engine reproduces the slot bytes.
-  Engine fresh(snapping);
-  ASSERT_TRUE(fresh.RestoreCheckpoint(b.engine().last_checkpoint()).ok());
+  // The last snapshot restores into a fresh engine, and re-snapshotting that
+  // engine reproduces its bytes.
+  Engine fresh(cfg);
+  ASSERT_TRUE(fresh.RestoreCheckpoint(last).ok());
   Result<std::vector<uint8_t>> again = fresh.SaveCheckpoint();
   ASSERT_TRUE(again.ok());
-  EXPECT_EQ(b.engine().last_checkpoint(), *again);
+  EXPECT_EQ(last, *again);
 }
 
 // ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@
 // hidden OS-entropy draw or time-based seed anywhere in the stack would make
 // these comparisons flake, so this suite doubles as a regression tripwire
 // against nondeterminism sneaking into future PRs (the static half of the
-// audit is tools/check_no_hidden_entropy.sh).
+// audit is the pattern rules in tools/lint/secret_api.toml).
 
 #include <gtest/gtest.h>
 

@@ -73,14 +73,34 @@ TEST(OutsourcedTableTest, EvictionKeepsLifetimeCountersAndStepIndices) {
   EXPECT_EQ(t.ConcatRange(6, 9).size(), 0u);
 }
 
+/// Writes a store section whose first retained step is 4, with the given
+/// lifetime row total and held batches, and restores it into `out` through
+/// the OutsourcedTable visit.
+Status RestoreStore(uint64_t total_rows, const std::vector<SharedRows>& held,
+                    OutsourcedTable* out) {
+  const uint32_t tag = CheckpointTag('S', 'T', 'O', 'R');
+  CheckpointWriter w;
+  w.BeginSection(tag);
+  w.U64(4);
+  w.U64(total_rows);
+  VisitList(w, held, [&](const SharedRows& rows) { Visit(w, rows); });
+  w.EndSection();
+  const std::vector<uint8_t> blob = w.Finish();
+  Result<CheckpointReader> r = CheckpointReader::Open(blob);
+  if (!r.ok()) return r.status();
+  Visit(*r, *out, tag, 4 + held.size(), 4);
+  return r->Finish();
+}
+
 TEST(OutsourcedTableTest, RestoreRejectsTotalBelowHeldRows) {
   Rng rng(4);
-  OutsourcedTable t(1);
   std::vector<SharedRows> held;
   held.push_back(MakeBatch(&rng, 1, {1, 2}));
-  EXPECT_FALSE(t.Restore(4, 1, held).ok());
-  EXPECT_EQ(t.steps(), 0u);
-  ASSERT_TRUE(t.Restore(4, 9, std::move(held)).ok());
+  OutsourcedTable rejected(1);
+  EXPECT_EQ(RestoreStore(1, held, &rejected).code(),
+            StatusCode::kInvalidArgument);
+  OutsourcedTable t(1);
+  ASSERT_EQ(RestoreStore(9, held, &t).code(), StatusCode::kOk);
   EXPECT_EQ(t.first_retained(), 4u);
   EXPECT_EQ(t.steps(), 5u);
   EXPECT_EQ(t.total_rows(), 9u);

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Secret-taint oblivious-leakage linter for the IncShrink tree.
+"""Secret-taint oblivious-leakage linter and pattern audit for the IncShrink tree.
 
 Statically flags code whose *observable* behavior — branch direction, loop
 trip count, memory index, allocation size — depends on secret-shared data
@@ -32,6 +32,11 @@ Suppressions mirror the src/net `net-timeout-ok` idiom:
     // oblivious-ok-begin: <reason>  ... // oblivious-ok-end   (region)
 Every marker is counted and printed so suppression drift stays visible.
 
+The same pass runs the manifest's [[pattern_rules]]: the static half of the
+deterministic-seed audit (hidden entropy, shuffles, core counts, clocks,
+draws outside the seeded streams), as regexes over raw lines of every file
+in each rule's path scope.
+
 Exit codes: 0 clean, 1 unsuppressed findings (or self-test mismatch),
 2 usage/manifest error.
 
@@ -44,6 +49,7 @@ oblivious-ok regions rather than modeled.
 """
 
 import argparse
+import collections
 import json
 import os
 import re
@@ -227,8 +233,11 @@ class Manifest:
                 self.tainted_params.setdefault(fn, set()).add(param)
             self.alloc_methods = set(d["sinks"]["alloc_methods"])
             self.marker = d["suppression"]["marker"]
+            self.pattern_rules = [PatternRule(r) for r in d["pattern_rules"]]
         except KeyError as e:
             raise SystemExit(f"oblivious-lint: manifest missing section/key {e}")
+        except re.error as e:
+            raise SystemExit(f"oblivious-lint: bad pattern rule regex: {e}")
 
 
 # Taint lattice elements.
@@ -326,6 +335,7 @@ _TERNARY_STOPS = {";", ",", "{", "}", "(", "[", "?", ":", "return", "case"} | _A
 
 class Finding:
     __slots__ = ("path", "line", "col", "rule", "expr", "why", "suppressed")
+    evidence = "tainted-by"  # label of `why` in the report
 
     def __init__(self, path, line, col, rule, expr, why):
         self.path = path
@@ -708,6 +718,107 @@ class FileAnalyzer:
 
 
 # ----------------------------------------------------------------------------
+# Pattern rules
+# ----------------------------------------------------------------------------
+
+class PatternFinding(Finding):
+    __slots__ = ()
+    evidence = "matches"
+
+
+def _under(rel, paths):
+    return any(rel == p or rel.startswith(p + "/") for p in paths)
+
+
+class PatternRule:
+    """One [[pattern_rules]] manifest entry (see the manifest's header)."""
+
+    _KEYS = {"id", "patterns", "include", "exempt", "exempt_marker", "region",
+             "message"}
+
+    def __init__(self, d):
+        unknown = set(d) - self._KEYS
+        if unknown:
+            raise SystemExit(f"oblivious-lint: pattern rule {d.get('id')}: "
+                             f"unknown keys {sorted(unknown)}")
+        self.id = d["id"]
+        self.patterns = [re.compile(p) for p in d["patterns"]]
+        self.include = d["include"]
+        self.exempt = d.get("exempt", [])
+        self.marker = d.get("exempt_marker")
+        self.message = d["message"]
+        region = d.get("region")
+        self.region_include = region["include"] if region else []
+        self.begin = re.compile(region["begin"]) if region else None
+        self.end = re.compile(region["end"]) if region else None
+
+    def scan(self, rel, lines):
+        """Findings of one file at repo-relative path `rel`, those on a line
+        holding the exempt marker suppressed, and its marker count. Outside
+        `include`, only lines from a region's `begin` through its `end` (both
+        inclusive) are matched."""
+        if _under(rel, self.exempt):
+            return [], 0
+        whole = _under(rel, self.include)
+        if not whole and not _under(rel, self.region_include):
+            return [], 0
+        findings = []
+        markers = 0
+        inside = whole
+        for ln, raw in enumerate(lines, start=1):
+            marked = self.marker is not None and self.marker in raw
+            markers += marked
+            if not whole and self.begin.search(raw):
+                inside = True
+            if inside:
+                for pat in self.patterns:
+                    m = pat.search(raw)
+                    if m is None:
+                        continue
+                    fi = PatternFinding(rel, ln, m.start() + 1, self.id,
+                                        raw.strip(), pat.pattern)
+                    fi.suppressed = marked
+                    findings.append(fi)
+                    break
+                if not whole and self.end.search(raw):
+                    inside = False
+        return findings, markers
+
+
+def read_lines(path):
+    """Raw lines as grep sees them: split on newlines only."""
+    with open(path, "rb") as f:
+        return f.read().decode("utf-8", errors="replace").split("\n")
+
+
+def tree_files(root, rules):
+    """Repo-relative paths of every regular file under the rules' roots."""
+    files = set()
+    for entry in {p for rule in rules
+                  for p in rule.include + rule.region_include}:
+        full = os.path.join(root, entry)
+        if os.path.isfile(full) and not os.path.islink(full):
+            files.add(entry)
+        for dirpath, _dirs, names in os.walk(full):
+            for name in names:
+                p = os.path.join(dirpath, name)
+                if os.path.isfile(p) and not os.path.islink(p):
+                    files.add(os.path.relpath(p, root))
+    return sorted(files)
+
+
+def scan_patterns(rel, lines, rules, markers):
+    """Runs every rule over one file; counts its exempt markers per rule id
+    into the Counter `markers`."""
+    findings = []
+    for rule in rules:
+        got, n = rule.scan(rel, lines)
+        findings += got
+        markers[rule.id] += n
+    return findings
+
+
+# ----------------------------------------------------------------------------
 # Driver
 # ----------------------------------------------------------------------------
 
@@ -770,7 +881,8 @@ def analyze_file(path, manifest, token_source, rel_to):
     return findings, analyzer.supp
 
 
-def run_lint(paths, manifest, token_source, rel_to, verbose_suppressed=False):
+def run_lint(paths, pattern_files, manifest, token_source, rel_to,
+             verbose_suppressed=False):
     all_findings = []
     marker_total = line_markers = region_markers = 0
     suppressed_total = 0
@@ -788,11 +900,19 @@ def run_lint(paths, manifest, token_source, rel_to, verbose_suppressed=False):
             all_findings.append(fi)
         rel = os.path.relpath(path, rel_to)
         unused_markers.extend(f"{rel}:{ln}" for ln in supp.unused())
+    exempt_markers = collections.Counter()
+    for rel in pattern_files:
+        all_findings += scan_patterns(
+            rel, read_lines(os.path.join(rel_to, rel)), manifest.pattern_rules,
+            exempt_markers)
     all_findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
     unsuppressed = [f for f in all_findings if not f.suppressed]
     for fi in unsuppressed:
         print(f"oblivious-lint: FINDING {fi.rule} {fi.path}:{fi.line}:{fi.col} "
-              f"`{fi.expr}` tainted-by[{fi.why}]")
+              f"`{fi.expr}` {fi.evidence}[{fi.why}]")
+    for rule in manifest.pattern_rules:
+        if any(fi.rule == rule.id for fi in unsuppressed):
+            print(f"oblivious-lint: {rule.id}: {rule.message}")
     if verbose_suppressed:
         for fi in all_findings:
             if fi.suppressed:
@@ -806,6 +926,13 @@ def run_lint(paths, manifest, token_source, rel_to, verbose_suppressed=False):
           f"{len(unused_markers)} unused markers")
     for u in unused_markers:
         print(f"oblivious-lint: note: unused marker at {u}")
+    for rule in manifest.pattern_rules:
+        if rule.marker is not None:
+            exempted = sum(1 for fi in all_findings
+                           if fi.rule == rule.id and fi.suppressed)
+            print(f"oblivious-lint: exempt markers: "
+                  f"{exempt_markers[rule.id]} {rule.marker} ({rule.id}), "
+                  f"{exempted} findings exempted")
     ok = not unsuppressed and not errors
     print(f"oblivious-lint: {len(unsuppressed)} unsuppressed findings -> "
           f"{'OK' if ok else 'FAIL'}")
@@ -814,19 +941,27 @@ def run_lint(paths, manifest, token_source, rel_to, verbose_suppressed=False):
 
 _EXPECT_FINDINGS = re.compile(r"//\s*expect-findings:\s*(\d+)")
 _EXPECT_SUPPRESSED = re.compile(r"//\s*expect-suppressed:\s*(\d+)")
+_LINT_PATH = re.compile(r"//\s*lint-path:\s*(\S+)")
+_LINT_RULE = re.compile(r"//\s*lint-rule:\s*(\S+)")
 
 
 def run_selftest(fixtures_dir, manifest, token_source):
-    """Runs the analysis over each fixture and checks the exact finding and
-    suppression counts its header comments declare."""
+    """Runs the analysis and every pattern rule over each fixture and checks
+    the exact finding and suppression counts its header comments declare.
+    Pattern rules see a fixture at its `lint-path`; their exempt markers
+    count as markers, and the findings they exempt as suppressed. Every pattern rule needs a must_flag_ and a
+    must_pass_ fixture naming it in `lint-rule`."""
     paths = sorted(
         os.path.join(fixtures_dir, n) for n in os.listdir(fixtures_dir)
         if n.endswith((".cc", ".h")))
     if not paths:
         print(f"oblivious-lint: selftest: no fixtures in {fixtures_dir}")
         return 2
+    rule_ids = {rule.id for rule in manifest.pattern_rules}
+    covered = set()
     failures = 0
     for path in paths:
+        name = os.path.basename(path)
         with open(path, "r", encoding="utf-8") as f:
             head = f.read()
         m = _EXPECT_FINDINGS.search(head)
@@ -837,17 +972,32 @@ def run_selftest(fixtures_dir, manifest, token_source):
         want = int(m.group(1))
         ms = _EXPECT_SUPPRESSED.search(head)
         want_suppressed = int(ms.group(1)) if ms else 0
+        mr = _LINT_RULE.search(head)
+        if mr:
+            if mr.group(1) not in rule_ids:
+                print(f"oblivious-lint: selftest: {name} targets unknown rule "
+                      f"{mr.group(1)}")
+                failures += 1
+                continue
+            role = re.match(r"must_(flag|pass)_", name)
+            covered.add((role and role.group(1), mr.group(1)))
         findings, supp = analyze_file(path, manifest, token_source,
                                       os.path.dirname(fixtures_dir) or ".")
+        mp = _LINT_PATH.search(head)
+        rel = mp.group(1) if mp else os.path.relpath(path, repo_root())
+        exempt_markers = collections.Counter()
+        findings += scan_patterns(rel, read_lines(path), manifest.pattern_rules,
+                                  exempt_markers)
         got = sum(1 for f_ in findings if not f_.suppressed)
         got_suppressed = sum(1 for f_ in findings if f_.suppressed)
+        markers = supp.marker_count + sum(exempt_markers.values())
         status = "ok"
         if got != want or got_suppressed != want_suppressed or supp.errors:
             status = "MISMATCH"
             failures += 1
-        print(f"oblivious-lint: selftest {os.path.basename(path)}: "
+        print(f"oblivious-lint: selftest {name}: "
               f"findings {got}/{want} suppressed {got_suppressed}/"
-              f"{want_suppressed} markers {supp.marker_count} -> {status}")
+              f"{want_suppressed} markers {markers} -> {status}")
         if status == "MISMATCH":
             for fi in findings:
                 tag = "suppressed " if fi.suppressed else ""
@@ -855,9 +1005,15 @@ def run_selftest(fixtures_dir, manifest, token_source):
                       f"`{fi.expr}`")
             for e in supp.errors:
                 print(f"  marker-error {e}")
+    missing = [f"must_{role}_ fixture for rule {rule_id}"
+               for rule_id in sorted(rule_ids) for role in ("flag", "pass")
+               if (role, rule_id) not in covered]
+    for what in missing:
+        print(f"oblivious-lint: selftest: missing {what}")
+    ok = failures == 0 and not missing
     print(f"oblivious-lint: selftest: {len(paths) - failures}/{len(paths)} "
-          f"fixtures -> {'OK' if failures == 0 else 'FAIL'}")
-    return 0 if failures == 0 else 1
+          f"fixtures -> {'OK' if ok else 'FAIL'}")
+    return 0 if ok else 1
 
 
 def main():
@@ -893,6 +1049,7 @@ def main():
 
     if args.files:
         paths = [os.path.abspath(p) for p in args.files]
+        pattern_files = [os.path.relpath(p, root) for p in paths]
     else:
         src_root = args.src or os.path.join(root, "src")
         cc = args.compile_commands
@@ -900,11 +1057,14 @@ def main():
             default_cc = os.path.join(root, "build", "compile_commands.json")
             cc = default_cc if os.path.isfile(default_cc) else None
         paths = discover_files(src_root, cc)
+        pattern_files = tree_files(root, manifest.pattern_rules)
     if not paths:
         raise SystemExit("oblivious-lint: no input files")
     print(f"oblivious-lint: scanning {len(paths)} files "
-          f"(engine={engine}, manifest={os.path.relpath(manifest_path, root)})")
-    sys.exit(run_lint(paths, manifest, token_source, root,
+          f"(engine={engine}, manifest={os.path.relpath(manifest_path, root)}), "
+          f"{len(manifest.pattern_rules)} pattern rules over "
+          f"{len(pattern_files)} files")
+    sys.exit(run_lint(paths, pattern_files, manifest, token_source, root,
                       verbose_suppressed=args.show_suppressed))
 
 

@@ -1,22 +1,19 @@
 #!/usr/bin/env bash
 # Unified static-analysis gate. Runs, in order:
 #
-#   1. entropy-lint    — tools/check_no_hidden_entropy.sh (pattern audit:
-#                        hidden entropy, shuffles, concurrency, transport
-#                        clock/randomness, shard-seed and batch-kernel rules)
-#   2. oblivious-lint  — tools/lint/oblivious_lint.py (secret-taint analysis
-#                        of every TU in src/: no branch, subscript, loop
+#   1. oblivious-lint  — tools/lint/oblivious_lint.py: secret-taint analysis
+#                        of every TU in src/ (no branch, subscript, loop
 #                        bound, or allocation size may depend on secret
 #                        shares without passing a declassification point)
-#   3. lint-selftest   — oblivious_lint.py --selftest over the checked-in
+#                        and the manifest's pattern rules (entropy audit)
+#   2. lint-selftest   — oblivious_lint.py --selftest over the checked-in
 #                        must-flag / must-pass fixtures, so a regression in
 #                        the linter itself cannot silently green the gate
-#   4. clang-tidy      — optional (--clang-tidy), skipped with a notice when
+#   3. clang-tidy      — optional (--clang-tidy), skipped with a notice when
 #                        the binary is absent so CI stays the only hard user
 #
 # Exit code is the OR of all stages; each stage prefixes its own output
-# (entropy-lint: / oblivious-lint: / clang-tidy:), so the combined log reads
-# as one report.
+# (oblivious-lint: / clang-tidy:), so the combined log reads as one report.
 set -u
 
 cd "$(dirname "$0")/../.."
@@ -40,24 +37,21 @@ done
 
 fail=0
 
-echo "run-lints: [1/4] entropy audit"
-bash tools/check_no_hidden_entropy.sh || fail=1
-
-echo "run-lints: [2/4] oblivious leakage lint"
+echo "run-lints: [1/3] oblivious leakage lint and pattern rules"
 python3 tools/lint/oblivious_lint.py \
   --src src \
   --manifest tools/lint/secret_api.toml \
   --compile-commands build/compile_commands.json \
   --engine "$ENGINE" || fail=1
 
-echo "run-lints: [3/4] lint self-test fixtures"
+echo "run-lints: [2/3] lint self-test fixtures"
 python3 tools/lint/oblivious_lint.py \
   --selftest tests/lint_fixtures \
   --manifest tools/lint/secret_api.toml \
   --engine "$ENGINE" || fail=1
 
 if [ "$WITH_TIDY" -eq 1 ]; then
-  echo "run-lints: [4/4] clang-tidy"
+  echo "run-lints: [3/3] clang-tidy"
   if ! command -v clang-tidy >/dev/null 2>&1; then
     echo "clang-tidy: binary not found; skipping (install clang-tidy or run the CI lint job)"
   elif [ ! -f build/compile_commands.json ]; then
@@ -70,7 +64,7 @@ if [ "$WITH_TIDY" -eq 1 ]; then
       "${TIDY_SOURCES[@]}" || fail=1
   fi
 else
-  echo "run-lints: [4/4] clang-tidy skipped (pass --clang-tidy to enable)"
+  echo "run-lints: [3/3] clang-tidy skipped (pass --clang-tidy to enable)"
 fi
 
 if [ "$fail" -ne 0 ]; then
